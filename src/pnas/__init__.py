@@ -19,6 +19,7 @@ from .cells import (
     parse_cell_key,
     random_cell,
     validate_cell,
+    validate_cell_array,
 )
 from .evaluators import (
     EvalRecord,
@@ -53,7 +54,7 @@ from .predictors import (
     MLPPredictor,
     PredictorConfig,
     RNNPredictor,
-    encode_tokens,
+    SlotCounts,
     ensemble_fit,
     gradient_check,
     load_checkpoint,
@@ -64,6 +65,7 @@ from .predictors import (
 from .search import (
     PREDICTOR_KINDS,
     LevelResult,
+    NoSuccessfulEvaluationError,
     SearchConfig,
     SearchTrace,
     compute_cost,

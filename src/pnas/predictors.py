@@ -15,6 +15,18 @@ regressor bodies are provided:
   token sequence one embedded token at a time; the final hidden state
   feeds the sigmoid output layer.
 
+The MLP never builds that 4D-dimensional vector. A batch is encoded once
+(``MLPPredictor.encode``) into slot counts: for each cell and each of the
+four slots, the fraction of its blocks holding each of the 11 input or 8
+operator ids, one (n, 38) matrix counted with ``np.bincount``. Count k of
+a b-block cell maps to k copies of 1/b summed left to right, the value an
+``np.add.at`` accumulation gives. The slot average of embeddings is then
+``C_slot @ E_slot``, so the first layer factors through the 19-row
+vocabulary: its pre-activation is ``sum over slots of C_slot @ (E_slot @
+W0_slot)``, and its backward pass forms ``C_slot.T @ da`` once per slot
+before reaching ``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once,
+not once per epoch, and an ensemble encodes once for all its members.
+
 Both train with L1 loss (subgradient 0 at the kink) under full-batch
 Adam, learning rate 0.01 at level 1 and 0.002 afterwards. The output
 bias starts at 1.8, so a fresh model predicts sigmoid(1.8) = 0.86, the
@@ -34,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cells import B_MAX, CellSpec, Operator, is_canonical, validate_cell
+from .cells import B_MAX, CellSpec, Operator
 from .seeding import derive_seed
 
 INPUT_VOCAB = B_MAX + 1  # input ids 0 .. B_MAX cover blocks of every level
@@ -45,6 +57,23 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# slot counts: I1, I2 over the input vocabulary, then O1, O2 over the operators
+SLOT_VOCABS = (INPUT_VOCAB, INPUT_VOCAB, OP_VOCAB, OP_VOCAB)
+SLOT_OFFSETS = np.cumsum((0,) + SLOT_VOCABS[:-1])
+SLOT_WIDTH = sum(SLOT_VOCABS)
+
+
+def _fraction_table() -> np.ndarray:
+    """table[b, k]: k copies of 1/b added left to right, as np.add.at accumulates them."""
+    table = np.zeros((B_MAX + 1, B_MAX + 1))
+    for b in range(1, B_MAX + 1):
+        for k in range(1, b + 1):
+            table[b, k] = table[b, k - 1] + 1.0 / b
+    return table
+
+
+_FRACTIONS = _fraction_table()
 
 
 @dataclass(frozen=True)
@@ -74,14 +103,6 @@ class PredictorConfig:
         return self.epochs_first_level if level == 1 else self.epochs_later_levels
 
 
-def encode_tokens(cell: CellSpec) -> np.ndarray:
-    """Token sequence of length 4b: I1, I2, O1, O2 for each block."""
-    validate_cell(cell)
-    if not is_canonical(cell):
-        raise ValueError("token encoding requires a canonical cell")
-    return np.asarray(cell, dtype=np.int64).reshape(-1)
-
-
 def _check_batch(cells: list[CellSpec] | tuple[CellSpec, ...]) -> None:
     if len(cells) == 0:
         raise ValueError("need at least one cell")
@@ -95,6 +116,21 @@ def _by_length(cells) -> dict[int, list[int]]:
     for idx, cell in enumerate(cells):
         groups.setdefault(len(cell), []).append(idx)
     return groups
+
+
+@dataclass(frozen=True, eq=False)
+class SlotCounts:
+    """A batch encoded for the MLP: one row of slot counts per cell.
+
+    Columns ``SLOT_OFFSETS[s] : SLOT_OFFSETS[s] + SLOT_VOCABS[s]`` of row r
+    hold, for every id of slot s (I1, I2, O1, O2), the fraction of the
+    blocks of cell r that carry it.
+    """
+
+    matrix: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.matrix)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -117,11 +153,23 @@ class _Adam:
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
+        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        # value -= lr*(m/bias1) / (sqrt(v/bias2) + eps), so no bit changes
         for key, value in params.items():
-            g = grads[key]
-            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
-            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * g * g
-            value -= self.lr * (self.m[key] / bias1) / (np.sqrt(self.v[key] / bias2) + ADAM_EPS)
+            g, m, v = grads[key], self.m[key], self.v[key]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            g2 = (1.0 - ADAM_BETA2) * g
+            g2 *= g
+            v += g2
+            denom = v / bias2
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step = m / bias1
+            step *= self.lr
+            step /= denom
+            value -= step
 
 
 class Predictor:
@@ -139,6 +187,16 @@ class Predictor:
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
+    @staticmethod
+    def encode(cells):
+        """The batch as predict and loss_and_grads consume it; the identity here."""
+        return cells
+
+    @staticmethod
+    def take(batch, index):
+        """Rows `index` of an encoded batch."""
+        return [batch[j] for j in index]
+
     def predict(self, cells) -> np.ndarray:
         raise NotImplementedError
 
@@ -146,7 +204,10 @@ class Predictor:
         raise NotImplementedError
 
     def fit(self, cells, accuracies, level: int) -> np.ndarray:
-        """Full-batch Adam on L1 loss; returns the per-epoch loss history."""
+        """Full-batch Adam on L1 loss; returns the per-epoch loss history.
+
+        `cells` may already be encoded (`encode`); it is encoded once, not per epoch.
+        """
         targets = np.asarray(accuracies, dtype=float)
         if len(cells) == 0 or targets.shape != (len(cells),):
             raise ValueError(f"need one accuracy per cell, got {len(cells)} cells, {targets.shape} targets")
@@ -154,10 +215,11 @@ class Predictor:
             raise ValueError("accuracies must lie in [0, 1]")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
+        batch = self.encode(cells)
         optimizer = _Adam(self.params, self.config.lr(level))
         history = np.empty(self.config.epochs(level))
         for epoch in range(len(history)):
-            loss, grads = self.loss_and_grads(cells, targets)
+            loss, grads = self.loss_and_grads(batch, targets)
             optimizer.step(self.params, grads)
             history[epoch] = loss
         return history
@@ -184,67 +246,90 @@ class MLPPredictor(Predictor):
         params["b_out"] = np.full(1, self.config.final_bias_init)
         return params
 
-    def _slot_counts(self, cells) -> tuple[np.ndarray, ...]:
-        """Per-slot token frequencies, each row normalized by block count.
+    @staticmethod
+    def encode(cells) -> SlotCounts:
+        """Slot counts of a batch: cells of any mix of lengths, or an (n, b, 4) id array.
 
-        Row s of the first matrix holds, for every input id v, the fraction
-        of blocks in cell s whose I1 equals v; likewise for I2, O1, O2. The
-        slot average of embeddings is then just counts @ table, and the
-        embedding gradient counts.T @ upstream, for any mix of cell sizes.
+        Each (cell, slot, id) occurrence is counted with one np.bincount,
+        and count k of a b-block cell becomes k copies of 1/b summed left
+        to right. An already encoded batch is returned unchanged.
         """
-        n = len(cells)
-        ci1 = np.zeros((n, INPUT_VOCAB))
-        ci2 = np.zeros((n, INPUT_VOCAB))
-        co1 = np.zeros((n, OP_VOCAB))
-        co2 = np.zeros((n, OP_VOCAB))
-        for b, idxs in _by_length(cells).items():
-            tokens = np.asarray([cells[i] for i in idxs], dtype=np.int64)
-            rows = np.repeat(np.asarray(idxs), b)
-            np.add.at(ci1, (rows, tokens[:, :, 0].ravel()), 1.0 / b)
-            np.add.at(ci2, (rows, tokens[:, :, 1].ravel()), 1.0 / b)
-            np.add.at(co1, (rows, tokens[:, :, 2].ravel()), 1.0 / b)
-            np.add.at(co2, (rows, tokens[:, :, 3].ravel()), 1.0 / b)
-        return ci1, ci2, co1, co2
+        if isinstance(cells, SlotCounts):
+            return cells
+        if isinstance(cells, np.ndarray):
+            if cells.ndim != 3 or cells.shape[2] != 4:
+                raise ValueError(f"a cell array must have shape (n, b, 4), got {cells.shape}")
+            lengths = np.full(len(cells), cells.shape[1])
+            blocks = cells.reshape(-1, 4).astype(np.intp, copy=False)
+        else:
+            lengths = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
+            blocks = np.asarray([block for cell in cells for block in cell], dtype=np.intp).reshape(-1, 4)
+        if len(lengths) == 0:
+            raise ValueError("need at least one cell")
+        if lengths.max() > B_MAX:
+            raise ValueError(f"cell has {lengths.max()} blocks, vocabulary covers at most {B_MAX}")
+        if lengths.min() < 1:
+            raise ValueError("a cell needs at least one block")
+        if blocks.min() < 0 or blocks[:, :2].max() >= INPUT_VOCAB or blocks[:, 2:].max() >= OP_VOCAB:
+            raise ValueError(f"token ids must lie in [0, {INPUT_VOCAB}) for inputs and [0, {OP_VOCAB}) for operators")
+        n = len(lengths)
+        rows = np.repeat(np.arange(n) * SLOT_WIDTH, lengths)
+        counts = np.bincount((rows[:, None] + SLOT_OFFSETS + blocks).ravel(), minlength=n * SLOT_WIDTH)
+        return SlotCounts(_FRACTIONS[lengths[:, None], counts.reshape(n, SLOT_WIDTH)])
 
-    def _forward(self, counts) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        ci1, ci2, co1, co2 = counts
+    @staticmethod
+    def take(batch: SlotCounts, index) -> SlotCounts:
+        return SlotCounts(batch.matrix[index])
+
+    def _slot_weights(self) -> list[tuple[str, slice, slice]]:
+        """(embedding table, rows of w0, columns of the slot counts) of each slot."""
+        d = self.config.embed_dim
+        tables = ("embed_in", "embed_in", "embed_op", "embed_op")
+        return [
+            (table, slice(s * d, (s + 1) * d), slice(offset, offset + vocab))
+            for s, (table, offset, vocab) in enumerate(zip(tables, SLOT_OFFSETS, SLOT_VOCABS))
+        ]
+
+    def _forward(self, counts: SlotCounts) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Probabilities and the tanh output of every layer.
+
+        The first layer runs through the vocabulary: each slot's table is
+        projected by its rows of w0, and the counts pick up the projections.
+        """
         p = self.params
-        x = np.concatenate(
-            [ci1 @ p["embed_in"], ci2 @ p["embed_in"], co1 @ p["embed_op"], co2 @ p["embed_op"]],
-            axis=1,
-        )
-        hidden = [x]
-        for layer in range(self.config.mlp_layers):
+        projected = np.vstack([p[table] @ p["w0"][rows] for table, rows, _ in self._slot_weights()])
+        hidden = [np.tanh(counts.matrix @ projected + p["b0"])]
+        for layer in range(1, self.config.mlp_layers):
             hidden.append(np.tanh(hidden[-1] @ p[f"w{layer}"] + p[f"b{layer}"]))
         z = hidden[-1] @ p["w_out"] + p["b_out"][0]
-        return _sigmoid(z), hidden, z
+        return _sigmoid(z), hidden
 
     def predict(self, cells) -> np.ndarray:
-        _check_batch(cells)
-        probs, _, _ = self._forward(self._slot_counts(cells))
+        probs, _ = self._forward(self.encode(cells))
         return probs
 
     def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        _check_batch(cells)
-        counts = self._slot_counts(cells)
-        probs, hidden, _ = self._forward(counts)
+        counts = self.encode(cells)
+        probs, hidden = self._forward(counts)
         residual = probs - targets
         loss = float(np.mean(np.abs(residual)))
-        dz = np.sign(residual) / len(cells) * probs * (1.0 - probs)
+        dz = np.sign(residual) / len(counts) * probs * (1.0 - probs)
         grads = self._zero_grads()
         p = self.params
         grads["w_out"] = hidden[-1].T @ dz
         grads["b_out"] = np.array([dz.sum()])
         dh = np.outer(dz, p["w_out"])
-        for layer in reversed(range(self.config.mlp_layers)):
-            da = dh * (1.0 - hidden[layer + 1] ** 2)
-            grads[f"w{layer}"] = hidden[layer].T @ da
+        for layer in reversed(range(1, self.config.mlp_layers)):
+            da = dh * (1.0 - hidden[layer] ** 2)
+            grads[f"w{layer}"] = hidden[layer - 1].T @ da
             grads[f"b{layer}"] = da.sum(axis=0)
             dh = da @ p[f"w{layer}"].T
-        d = self.config.embed_dim
-        ci1, ci2, co1, co2 = counts
-        grads["embed_in"] = ci1.T @ dh[:, :d] + ci2.T @ dh[:, d : 2 * d]
-        grads["embed_op"] = co1.T @ dh[:, 2 * d : 3 * d] + co2.T @ dh[:, 3 * d :]
+        da = dh * (1.0 - hidden[0] ** 2)
+        grads["b0"] = da.sum(axis=0)
+        d_counts = counts.matrix.T @ da
+        for table, rows, columns in self._slot_weights():
+            grads["w0"][rows] = p[table].T @ d_counts[columns]
+            grads[table] += d_counts[columns] @ p["w0"][rows].T
         return loss, grads
 
 
@@ -343,16 +428,19 @@ def new_predictor(config: PredictorConfig) -> Predictor:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Bag of predictors; the ensemble prediction is the member mean."""
+    """Bag of predictors of one kind; the ensemble prediction is the member mean."""
 
     members: tuple[Predictor, ...]
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("ensemble needs at least one member")
+        if len({type(member) for member in self.members}) > 1:
+            raise ValueError("ensemble members must share one predictor kind")
 
     def predict(self, cells) -> np.ndarray:
-        return np.mean([member.predict(cells) for member in self.members], axis=0)
+        batch = self.members[0].encode(cells)
+        return np.mean([member.predict(batch) for member in self.members], axis=0)
 
 
 def ensemble_folds(n: int, seed: int) -> list[np.ndarray]:
@@ -364,21 +452,23 @@ def ensemble_folds(n: int, seed: int) -> list[np.ndarray]:
 def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ensemble:
     """Fit ENSEMBLE_SIZE fresh members, each holding out a disjoint fifth.
 
-    With fewer than ENSEMBLE_SIZE points some holdouts are empty, so each
-    member trains on the full set minus at most one point.
+    The training set is encoded once; each member gets its rows of it, in
+    ascending order. With fewer than ENSEMBLE_SIZE points some holdouts are
+    empty, so each member trains on the full set minus at most one point.
     """
     targets = np.asarray(accuracies, dtype=float)
     folds = ensemble_folds(len(cells), derive_seed(config.seed, "folds", level))
-    members = []
-    for index, holdout in enumerate(folds):
-        drop = set(holdout.tolist())
-        keep = [j for j in range(len(cells)) if j not in drop]
-        if not keep:
-            keep = list(range(len(cells)))
-        member = new_predictor(replace(config, seed=derive_seed(config.seed, "member", level, index)))
-        member.fit([cells[j] for j in keep], targets[keep], level)
-        members.append(member)
-    return Ensemble(tuple(members))
+    members = tuple(
+        new_predictor(replace(config, seed=derive_seed(config.seed, "member", level, index)))
+        for index in range(ENSEMBLE_SIZE)
+    )
+    batch = members[0].encode(cells)
+    for member, holdout in zip(members, folds):
+        keep = np.setdiff1d(np.arange(len(cells)), holdout)
+        if not keep.size:
+            keep = np.arange(len(cells))
+        member.fit(member.take(batch, keep), targets[keep], level)
+    return Ensemble(members)
 
 
 def gradient_check(model: Predictor, cell: CellSpec, target: float, step: float = 1e-4) -> float:

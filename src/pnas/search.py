@@ -6,6 +6,15 @@ canonical b-th block, scores all children with the surrogate, keeps the
 top K by predicted accuracy (ties broken by cell key), evaluates them,
 and refits the surrogate from scratch on everything measured so far.
 
+Children are never built one tuple at a time. The beam and the canonical
+blocks become integer arrays, and their cross product is scored as
+(n, b, 4) id arrays in chunks of whole parent expansions (one parent per
+chunk when a single expansion is larger than the chunk size), after one
+vectorised range check per chunk. The K-th best score is found with
+``np.partition``; only the children at or above it, exact ties included,
+get a cell key, and those are ordered by (-predicted, key). The beam is
+therefore exactly the one a full sort by (-predicted, key) gives.
+
 Because canonicalization acts inside a block and never reorders blocks,
 two distinct canonical parents can never expand to the same child, so
 per-parent deduplication (restricting to canonical blocks) is exhaustive.
@@ -15,7 +24,9 @@ one.
 
 A trace writer, when given, receives one JSON-serializable dict per
 event; events carry no wall-clock fields, so equal configurations
-reproduce traces byte for byte.
+reproduce traces byte for byte. A level whose evaluations all fail
+stops the run with ``NoSuccessfulEvaluationError``, after its eval
+events are written.
 """
 
 from __future__ import annotations
@@ -27,14 +38,16 @@ import numpy as np
 
 from .cells import (
     B_MAX,
+    BlockSpec,
     CellSpec,
     canonical_blocks,
     cell_key,
     one_block_cells,
     parse_cell_key,
     random_cell,
+    validate_cell_array,
 )
-from .evaluators import EvalRecord, EvalRequest, SyntheticOracle
+from .evaluators import EvalRecord, EvalRequest, EvaluatorError, SyntheticOracle
 from .metrics import top_m_curve
 from .network import StackPlan
 from .predictors import PredictorConfig, ensemble_fit, new_predictor, snapshot_id
@@ -46,6 +59,10 @@ EVALUATOR_BACKENDS = ("synthetic", "tabular", "external")
 # examples consumed per proxy-training epoch (train split of the image
 # benchmark); budget arithmetic only, nothing is actually trained
 EXAMPLES_PER_EPOCH = 45_000
+
+
+class NoSuccessfulEvaluationError(EvaluatorError):
+    """Every evaluation of a level failed, so nothing can be fitted or summarized."""
 
 
 @dataclass(frozen=True)
@@ -192,6 +209,8 @@ class OracleSurrogate:
         return "perfect"
 
     def predict(self, cells) -> np.ndarray:
+        if isinstance(cells, np.ndarray):
+            cells = [tuple(BlockSpec._make(block) for block in cell) for cell in cells.tolist()]
         return np.asarray([self.oracle.score(cell) for cell in cells])
 
 
@@ -217,6 +236,50 @@ def _evaluate(evaluator, cells, level, epochs, plan, eval_seed, writer) -> list[
             event["error"] = rec.error
         _emit(writer, **event)
     return records
+
+
+def _check_some_succeeded(records: list[EvalRecord], level: int) -> None:
+    if not any(rec.ok for rec in records):
+        raise NoSuccessfulEvaluationError(f"level {level}: none of its {len(records)} evaluations succeeded")
+
+
+def score_children(surrogate, parents: np.ndarray, blocks: np.ndarray, chunk_size: int) -> np.ndarray:
+    """Scores of every parent + block child, parent-major.
+
+    `parents` is a (p, b-1, 4) and `blocks` an (m, 4) id array. Each chunk
+    holds as many whole expansions as fit in `chunk_size` children, and at
+    least one.
+    """
+    m = len(blocks)
+    per_chunk = max(1, chunk_size // m)
+    scores = np.empty(len(parents) * m)
+    for start in range(0, len(parents), per_chunk):
+        group = parents[start : start + per_chunk]
+        children = np.empty((len(group), m, group.shape[1] + 1, 4), dtype=np.intp)
+        children[:, :, :-1] = group[:, None]
+        children[:, :, -1] = blocks
+        children = children.reshape(len(group) * m, -1, 4)
+        validate_cell_array(children)
+        scores[start * m : start * m + len(children)] = surrogate.predict(children)
+    return scores
+
+
+def top_children(scores: np.ndarray, beam: list[CellSpec], blocks, k: int) -> list[tuple[float, str, CellSpec]]:
+    """The k best (-predicted, key, cell) of beam x blocks, in that order.
+
+    Keys are built only for children scoring at least the k-th best score.
+    """
+    contenders = np.arange(len(scores))
+    if len(scores) > k:
+        cutoff = np.partition(scores, len(scores) - k)[len(scores) - k]
+        contenders = np.flatnonzero(scores >= cutoff)
+    ranked = []
+    for index in contenders.tolist():
+        parent, block = divmod(index, len(blocks))
+        child = beam[parent] + (blocks[block],)
+        ranked.append((-float(scores[index]), cell_key(child), child))
+    ranked.sort()
+    return ranked[:k]
 
 
 def _level_result(level: int, records: list[EvalRecord], predicted: dict[str, float] | None, snapshot: str) -> LevelResult:
@@ -260,6 +323,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
 
     records = _evaluate(evaluator, beam, 1, config.epochs, plan, eval_seed, writer)
     absorb(records)
+    _check_some_succeeded(records, 1)
     snapshot = surrogate.update(train_cells, np.asarray(train_accs), 1)
     _emit(writer, event="fit", level=1, cell_key=None, value=snapshot, seed=predictor_seed)
     levels.append(_level_result(1, records, None, snapshot))
@@ -277,25 +341,8 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
             seed=config.seed,
         )
 
-        # streaming top-K over all children: entries sort by (-predicted, key)
-        best: list[tuple[float, str, CellSpec]] = []
-        buffer: list[CellSpec] = []
-
-        def flush() -> None:
-            nonlocal best
-            preds = surrogate.predict(buffer)
-            best.extend((-float(p), cell_key(c), c) for p, c in zip(preds, buffer))
-            best.sort()
-            del best[config.beam_size :]
-            buffer.clear()
-
-        for parent in beam:
-            for block in blocks:
-                buffer.append(parent + (block,))
-                if len(buffer) >= config.chunk_size:
-                    flush()
-        if buffer:
-            flush()
+        scores = score_children(surrogate, np.asarray(beam), np.asarray(blocks), config.chunk_size)
+        best = top_children(scores, beam, blocks, config.beam_size)
 
         predicted = {key: -neg for neg, key, _ in best}
         for key in sorted(predicted):
@@ -306,6 +353,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
         beam = sorted((cell for _, _, cell in best), key=cell_key)
         records = _evaluate(evaluator, beam, b, config.epochs, plan, eval_seed, writer)
         absorb(records)
+        _check_some_succeeded(records, b)
         snapshot = surrogate.update(train_cells, np.asarray(train_accs), b)
         _emit(writer, event="fit", level=b, cell_key=None, value=snapshot, seed=predictor_seed)
         levels.append(_level_result(b, records, predicted, snapshot))
@@ -348,6 +396,7 @@ def random_search(
     for _ in range(count):
         cell = random_cell(b_max, rng)
         records.extend(_evaluate(evaluator, [cell], b_max, epochs, plan, eval_seed, writer))
+    _check_some_succeeded(records, b_max)
     level = LevelResult(
         level=b_max,
         keys=tuple(rec.cell_key for rec in records),

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -303,6 +304,43 @@ def test_external_backend_crash_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "unanswered" in err
+
+
+ERROR_WORKER = """\
+import json, sys
+for line in sys.stdin:
+    request = json.loads(line)
+    if request.get("done"):
+        break
+    print(json.dumps({"id": request["id"], "error": "oom"}), flush=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, evals",
+    [
+        (["-B", "2", "-K", "8"], 136),
+        (["--strategy", "random", "-B", "2", "--count", "3"], 3),
+    ],
+)
+def test_run_without_successful_evaluation_exits_2(tmp_path, capsys, argv, evals):
+    worker = tmp_path / "oom_worker.py"
+    worker.write_text(ERROR_WORKER)
+    out_dir = tmp_path / "run"
+    code, _, err = run(
+        capsys, "search", *argv, "--evaluator", "external",
+        "--worker-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(worker))}",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    level = 1 if "random" not in argv else 2
+    assert f"evaluator error: level {level}: none of its {evals} evaluations succeeded" in err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    events = read_trace(str(out_dir / "trace.jsonl"))
+    assert [ev["event"] for ev in events] == ["eval"] * evals
+    assert all(ev["error"] == "oom" and ev["value"] is None for ev in events)
+    assert not (out_dir / ".lock").exists()
 
 
 def test_external_backend_needs_worker_cmd(tmp_path, capsys):

@@ -4,15 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from pnas.cells import BlockSpec, one_block_cells, parse_cell_key, random_cell
+from pnas.cells import BlockSpec, cell_key, one_block_cells, parse_cell_key, random_cell
 from pnas.predictors import (
     ENSEMBLE_SIZE,
+    SLOT_OFFSETS,
+    SLOT_VOCABS,
     Ensemble,
     MLPPredictor,
     PredictorConfig,
     RNNPredictor,
-    encode_tokens,
     ensemble_fit,
     ensemble_folds,
     gradient_check,
@@ -21,6 +23,8 @@ from pnas.predictors import (
     save_checkpoint,
     snapshot_id,
 )
+
+from conftest import raw_cells
 
 SMALL = dict(embed_dim=12, hidden=10, epochs_first_level=60, epochs_later_levels=30)
 
@@ -36,13 +40,73 @@ def train_batch(n: int = 40, b: int = 2, seed: int = 3):
     return cells, accs
 
 
-def test_encode_tokens():
-    tokens = encode_tokens(parse_cell_key("1|0,4,1,4"))
-    assert tokens.tolist() == [0, 1, 4, 4]
-    cell = parse_cell_key("3|0,0,1,1;1,2,2,2;0,7,3,5")
-    assert encode_tokens(cell).shape == (12,)
-    with pytest.raises(ValueError, match="canonical"):
-        encode_tokens(parse_cell_key("1|1,4,0,4"))
+def reference_slot_counts(cells):
+    """I1, I2, O1, O2 frequencies accumulated with np.add.at, 1/b per block."""
+    slots = [np.zeros((len(cells), vocab)) for vocab in SLOT_VOCABS]
+    for row, cell in enumerate(cells):
+        tokens = np.asarray(cell, dtype=np.int64).reshape(-1, 4)
+        rows = np.full(len(tokens), row)
+        for slot, counts in enumerate(slots):
+            np.add.at(counts, (rows, tokens[:, slot]), 1.0 / len(tokens))
+    return slots
+
+
+def test_slot_counts_match_add_at_on_mixed_lengths():
+    rng = np.random.default_rng(4)
+    cells = [random_cell(b, rng) for b in (3, 1, 10, 2, 7, 3, 5, 9, 6) for _ in range(12)]
+    encoded = MLPPredictor.encode(cells)
+    assert len(encoded) == len(cells)
+    assert np.array_equal(encoded.matrix, np.hstack(reference_slot_counts(cells)))
+
+
+def test_slot_counts_match_add_at_on_id_array():
+    rng = np.random.default_rng(5)
+    for b in (3, 6, 7, 10):
+        array = np.asarray([random_cell(b, rng) for _ in range(40)])
+        assert array.shape == (40, b, 4)
+        encoded = MLPPredictor.encode(array)
+        assert len(encoded) == 40
+        assert np.array_equal(encoded.matrix, np.hstack(reference_slot_counts(array)))
+        assert MLPPredictor.encode(encoded) is encoded
+
+
+def test_slot_counts_reject_ids_outside_the_vocabulary():
+    with pytest.raises(ValueError, match="token ids"):
+        MLPPredictor.encode([(BlockSpec(0, 11, 0, 0),)])
+    with pytest.raises(ValueError, match="token ids"):
+        MLPPredictor.encode(np.asarray([[[0, 0, 8, 0]]]))
+    with pytest.raises(ValueError, match="at least one cell"):
+        MLPPredictor.encode([])
+
+
+@given(raw_cells(max_blocks=10))
+def test_slot_counts_follow_key_fields(cell):
+    # keys write each block as i1,o1,i2,o2: inputs in fields 0 and 2, operators in 1 and 3
+    fields = [
+        [int(f) for f in segment.split(",")]
+        for segment in cell_key(cell).split("|", 1)[1].split(";")
+    ]
+    b = len(fields)
+    slots = np.hsplit(MLPPredictor.encode([parse_cell_key(cell_key(cell))]).matrix[0], SLOT_OFFSETS[1:])
+    for slot, field in enumerate((0, 2, 1, 3)):
+        want = np.bincount([f[field] for f in fields], minlength=SLOT_VOCABS[slot])
+        assert np.array_equal(np.rint(slots[slot] * b), want)
+
+
+def test_factored_forward_matches_concatenated_embeddings():
+    cells, accs = train_batch(n=30, b=3)
+    more, _ = train_batch(n=10, b=7, seed=8)
+    model = new_predictor(PredictorConfig(kind="mlp", mlp_layers=3, seed=2))
+    model.fit(cells, accs, level=1)
+    p = model.params
+    ci1, ci2, co1, co2 = reference_slot_counts(cells + more)
+    h = np.concatenate(
+        [ci1 @ p["embed_in"], ci2 @ p["embed_in"], co1 @ p["embed_op"], co2 @ p["embed_op"]], axis=1
+    )
+    for layer in range(3):
+        h = np.tanh(h @ p[f"w{layer}"] + p[f"b{layer}"])
+    want = 1.0 / (1.0 + np.exp(-(h @ p["w_out"] + p["b_out"][0])))
+    assert np.max(np.abs(model.predict(cells + more) - want)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
@@ -194,6 +258,8 @@ def test_ensemble_of_clones_equals_single():
 def test_ensemble_needs_members():
     with pytest.raises(ValueError, match="at least one member"):
         Ensemble(())
+    with pytest.raises(ValueError, match="one predictor kind"):
+        Ensemble((new_predictor(small_config("mlp")), new_predictor(small_config("rnn"))))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])

@@ -1,5 +1,6 @@
 """Progressive beam search, its budget arithmetic, and the random baseline."""
 
+import numpy as np
 import pytest
 
 from pnas.cells import canonical_blocks, cell_key, one_block_cells
@@ -11,12 +12,14 @@ from pnas.evaluators import (
 )
 from pnas.search import (
     ModelSurrogate,
+    NoSuccessfulEvaluationError,
     SearchConfig,
     compute_cost,
     make_surrogate,
     plan_budget,
     pnas_search,
     random_search,
+    score_children,
     top_m_table,
 )
 from pnas.seeding import derive_seed
@@ -138,6 +141,60 @@ def test_search_chunking_invariant():
         assert a.measured == b.measured
 
 
+class FewScores:
+    """Surrogate with three distinct scores, so many children tie at the K-th."""
+
+    def update(self, cells, accuracies, level):
+        return "few"
+
+    def predict(self, cells):
+        return few_score(np.asarray(cells))
+
+
+def few_score(cells):
+    return cells.sum(axis=(-2, -1)) % 3 / 4.0
+
+
+@pytest.mark.parametrize("chunk_size", [1, 97, 1 << 20])
+def test_search_ties_match_brute_force_sort(monkeypatch, chunk_size):
+    monkeypatch.setattr("pnas.search.make_surrogate", lambda *args: FewScores())
+    writer = ListWriter()
+    trace = pnas_search(perfect_config(chunk_size=chunk_size), SyntheticOracle(), writer)
+
+    beam = sorted(one_block_cells(), key=cell_key)
+    want_events = []
+    for level in trace.levels[1:]:
+        children = [p + (blk,) for p in beam for blk in canonical_blocks(level.level)]
+        scores = [float(few_score(np.asarray(c))) for c in children]
+        assert len(set(scores)) == 3 and scores.count(max(scores)) > 8  # ties at the cut
+        ranked = sorted(zip(scores, children), key=lambda sc: (-sc[0], cell_key(sc[1])))[:8]
+        keyed = {cell_key(c): s for s, c in ranked}
+        want_events += [("predict", level.level, key, keyed[key]) for key in sorted(keyed)]
+        want_events += [("select", level.level, cell_key(c), rank) for rank, (_, c) in enumerate(ranked, 1)]
+        beam = sorted((c for _, c in ranked), key=cell_key)
+        assert list(level.keys) == [cell_key(c) for c in beam]
+    got_events = [
+        (ev["event"], ev["level"], ev["cell_key"], ev["value"])
+        for ev in writer.events
+        if ev["event"] in ("predict", "select")
+    ]
+    assert got_events == want_events
+
+
+def test_score_children_rejects_out_of_range_ids():
+    parents = np.asarray([p + (blk,) for p in one_block_cells()[:3] for blk in canonical_blocks(2)[:5]])
+    blocks = np.asarray(canonical_blocks(3))
+    assert score_children(FewScores(), parents, blocks, chunk_size=97).shape == (15 * len(blocks),)
+    bad_input = parents.copy()
+    bad_input[-1, 1, 1] = 3  # block 2 reads only ids 0-2
+    with pytest.raises(ValueError, match=r"block 2: input id 3 outside \[0, 3\)"):
+        score_children(FewScores(), bad_input, blocks, chunk_size=97)
+    bad_op = parents.copy()
+    bad_op[4, 0, 2] = 8
+    with pytest.raises(ValueError, match=r"block 1: operator id 8 outside \[0, 8\)"):
+        score_children(FewScores(), bad_op, blocks, chunk_size=1 << 20)
+
+
 def test_search_degenerate_single_level():
     oracle = SyntheticOracle(SyntheticOracleConfig(noise_sigma=0.0))
     trace = pnas_search(perfect_config(b_max=1), oracle)
@@ -207,6 +264,15 @@ def test_search_failed_record_keeps_slot():
     assert [rec.cell_key for rec in failures] == [doomed]
     assert trace.levels[0].measured.count(None) == 1
     assert trace.best()[0] != doomed
+
+
+def test_search_level_without_successes_stops_after_its_evals():
+    writer = ListWriter()
+    every_key = [cell_key(c) for c in one_block_cells()]
+    with pytest.raises(NoSuccessfulEvaluationError, match="level 1: none of its 136 evaluations"):
+        pnas_search(perfect_config(), FailingEvaluator(fail_keys=every_key), writer)
+    assert [ev["event"] for ev in writer.events] == ["eval"] * 136
+    assert all(ev["error"] == "diverged" for ev in writer.events)
 
 
 def test_search_evaluator_crash_propagates_with_partial_trace():
