@@ -27,6 +27,21 @@ W0_slot)``, and its backward pass forms ``C_slot.T @ da`` once per slot
 before reaching ``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once,
 not once per epoch, and an ensemble encodes once for all its members.
 
+The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``:
+for each cell length b, the batch rows of the b-block cells and their
+(m, 4b) token ids. Both encoders range-check ids through one helper. The
+LSTM's input projection factors through the same vocabulary: its two
+tables are stacked into one 19-row vocabulary (operators after inputs),
+each forward pass computes ``E @ W_x`` (19 x 4h) once, and step t gathers
+the rows of its tokens, so no input matmul runs inside the time loop. A
+training pass keeps every step's activated gates in one (4b, m, 4h) array,
+and the backward time loop overwrites them with the gate gradients da,
+computing only ``dh = da @ W_h.T`` per step. After the loop ``W_h`` and
+``b`` get their gradients from one matmul and one sum over all steps, and
+the vocabulary collects ``dP = onehot(rows).T @ da``, which gives
+``E.T @ dP`` for ``W_x`` and ``dP @ W_x.T`` for the embeddings.
+Prediction keeps only the latest step's state.
+
 Both train with L1 loss (subgradient 0 at the kink) under full-batch
 Adam, learning rate 0.01 at level 1 and 0.002 afterwards. The output
 bias starts at 1.8, so a fresh model predicts sigmoid(1.8) = 0.86, the
@@ -62,6 +77,10 @@ ADAM_EPS = 1e-8
 SLOT_VOCABS = (INPUT_VOCAB, INPUT_VOCAB, OP_VOCAB, OP_VOCAB)
 SLOT_OFFSETS = np.cumsum((0,) + SLOT_VOCABS[:-1])
 SLOT_WIDTH = sum(SLOT_VOCABS)
+
+# the LSTM stacks both tables into one vocabulary, operators after inputs;
+# step t of a cell reads row token + STEP_ROWS[t] of it
+STEP_ROWS = np.tile([0, 0, INPUT_VOCAB, INPUT_VOCAB], B_MAX)
 
 
 def _fraction_table() -> np.ndarray:
@@ -103,19 +122,29 @@ class PredictorConfig:
         return self.epochs_first_level if level == 1 else self.epochs_later_levels
 
 
-def _check_batch(cells: list[CellSpec] | tuple[CellSpec, ...]) -> None:
-    if len(cells) == 0:
+def _cell_blocks(cells) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks per cell, (total blocks, 4) token ids) of a batch, range-checked.
+
+    `cells` is a sequence of cells of any mix of lengths, or an (n, b, 4)
+    id array; both encoders read their batch through this one check.
+    """
+    if isinstance(cells, np.ndarray):
+        if cells.ndim != 3 or cells.shape[2] != 4:
+            raise ValueError(f"a cell array must have shape (n, b, 4), got {cells.shape}")
+        lengths = np.full(len(cells), cells.shape[1])
+        blocks = cells.reshape(-1, 4).astype(np.intp, copy=False)
+    else:
+        lengths = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
+        blocks = np.asarray([block for cell in cells for block in cell], dtype=np.intp).reshape(-1, 4)
+    if len(lengths) == 0:
         raise ValueError("need at least one cell")
-    for cell in cells:
-        if len(cell) > B_MAX:
-            raise ValueError(f"cell has {len(cell)} blocks, vocabulary covers at most {B_MAX}")
-
-
-def _by_length(cells) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for idx, cell in enumerate(cells):
-        groups.setdefault(len(cell), []).append(idx)
-    return groups
+    if lengths.max() > B_MAX:
+        raise ValueError(f"cell has {lengths.max()} blocks, vocabulary covers at most {B_MAX}")
+    if lengths.min() < 1:
+        raise ValueError("a cell needs at least one block")
+    if blocks.min() < 0 or blocks[:, :2].max() >= INPUT_VOCAB or blocks[:, 2:].max() >= OP_VOCAB:
+        raise ValueError(f"token ids must lie in [0, {INPUT_VOCAB}) for inputs and [0, {OP_VOCAB}) for operators")
+    return lengths, blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +162,43 @@ class SlotCounts:
         return len(self.matrix)
 
 
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """A batch encoded for the LSTM, grouped by cell length.
+
+    ``groups`` holds, for each cell length b in ascending order, the batch
+    rows of the b-block cells and their (m, 4b) token ids: I1, I2, O1, O2
+    of each block in turn.
+    """
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return sum(len(rows) for rows, _ in self.groups)
+
+    def __iter__(self):
+        """The cells as (b, 4) id arrays, in batch order."""
+        cells = [None] * len(self)
+        for rows, tokens in self.groups:
+            for row, cell in zip(rows, tokens.reshape(len(rows), -1, 4)):
+                cells[row] = cell
+        return iter(cells)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, without masks.
+
+    Bit-equal to evaluating each branch on its own elements: exp(min(z, -z))
+    is exp(-z) or exp(z) as the branch needs, and keeps a NaN's sign bit.
+    Works in place on two temporaries, since the LSTM runs it on every step.
+    """
+    e = np.minimum(z, -z)
+    np.exp(e, out=e)
+    d = e + 1.0
+    e /= d
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=z >= 0)
+    return e
 
 
 class _Adam:
@@ -189,13 +248,13 @@ class Predictor:
 
     @staticmethod
     def encode(cells):
-        """The batch as predict and loss_and_grads consume it; the identity here."""
-        return cells
+        """The batch as predict and loss_and_grads consume it, encoded once."""
+        raise NotImplementedError
 
     @staticmethod
     def take(batch, index):
-        """Rows `index` of an encoded batch."""
-        return [batch[j] for j in index]
+        """Rows `index` of an encoded batch, in that order."""
+        raise NotImplementedError
 
     def predict(self, cells) -> np.ndarray:
         raise NotImplementedError
@@ -256,22 +315,7 @@ class MLPPredictor(Predictor):
         """
         if isinstance(cells, SlotCounts):
             return cells
-        if isinstance(cells, np.ndarray):
-            if cells.ndim != 3 or cells.shape[2] != 4:
-                raise ValueError(f"a cell array must have shape (n, b, 4), got {cells.shape}")
-            lengths = np.full(len(cells), cells.shape[1])
-            blocks = cells.reshape(-1, 4).astype(np.intp, copy=False)
-        else:
-            lengths = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
-            blocks = np.asarray([block for cell in cells for block in cell], dtype=np.intp).reshape(-1, 4)
-        if len(lengths) == 0:
-            raise ValueError("need at least one cell")
-        if lengths.max() > B_MAX:
-            raise ValueError(f"cell has {lengths.max()} blocks, vocabulary covers at most {B_MAX}")
-        if lengths.min() < 1:
-            raise ValueError("a cell needs at least one block")
-        if blocks.min() < 0 or blocks[:, :2].max() >= INPUT_VOCAB or blocks[:, 2:].max() >= OP_VOCAB:
-            raise ValueError(f"token ids must lie in [0, {INPUT_VOCAB}) for inputs and [0, {OP_VOCAB}) for operators")
+        lengths, blocks = _cell_blocks(cells)
         n = len(lengths)
         rows = np.repeat(np.arange(n) * SLOT_WIDTH, lengths)
         counts = np.bincount((rows[:, None] + SLOT_OFFSETS + blocks).ravel(), minlength=n * SLOT_WIDTH)
@@ -348,77 +392,145 @@ class RNNPredictor(Predictor):
             "b_out": np.full(1, self.config.final_bias_init),
         }
 
-    def _run(self, tokens: np.ndarray, keep_trace: bool):
-        """Forward over a batch of equal-length token matrices (m, 4b)."""
+    @staticmethod
+    def encode(cells) -> TokenBatch:
+        """Token ids of a batch, grouped by length: cells of any mix of lengths, or an (n, b, 4) id array.
+
+        An already encoded batch is returned unchanged.
+        """
+        if isinstance(cells, TokenBatch):
+            return cells
+        lengths, blocks = _cell_blocks(cells)
+        first = np.cumsum(lengths) - lengths
+        groups = []
+        for b in np.unique(lengths):
+            rows = np.flatnonzero(lengths == b)
+            tokens = blocks[first[rows, None] + np.arange(b)].reshape(len(rows), 4 * b)
+            groups.append((rows, tokens))
+        return TokenBatch(tuple(groups))
+
+    @staticmethod
+    def take(batch: TokenBatch, index) -> TokenBatch:
+        index = np.asarray(index, dtype=np.intp)
+        group_of = np.empty(len(batch), dtype=np.intp)
+        row_in_group = np.empty(len(batch), dtype=np.intp)
+        for g, (rows, _) in enumerate(batch.groups):
+            group_of[rows] = g
+            row_in_group[rows] = np.arange(len(rows))
+        groups = []
+        for g, (_, tokens) in enumerate(batch.groups):
+            picked = np.flatnonzero(group_of[index] == g)
+            if picked.size:
+                groups.append((picked, tokens[row_in_group[index[picked]]]))
+        return TokenBatch(tuple(groups))
+
+    def _projections(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked vocabulary projected into the gates (19 x 4h), and the recurrent weights."""
         p = self.params
-        h_dim = self.config.hidden
-        m, steps = tokens.shape
-        wx, wh = p["w"][: self.config.embed_dim], p["w"][self.config.embed_dim :]
-        h = np.zeros((m, h_dim))
-        c = np.zeros((m, h_dim))
-        trace = []
+        vocab = np.vstack([p["embed_in"], p["embed_op"]])
+        return vocab @ p["w"][: self.config.embed_dim], p["w"][self.config.embed_dim :]
+
+    def _run(self, vocab_rows: np.ndarray, projections, keep: bool = False):
+        """Final hidden state over equal-length cells, given as (m, 4b) vocabulary rows, and the states.
+
+        Step t gathers its input term from the projected vocabulary. States
+        are indexed by step modulo their depth: with `keep`, every step's,
+        that is ``gates[t]`` (activated i, f, g, o), ``tanh_c[t]``, and
+        ``h[t]``, ``c[t]``, the state step t starts from (``h[4b]`` is the
+        final one); without, only the last step's, so memory does not grow
+        with the cell length.
+        """
+        proj, wh = projections
+        hd = self.config.hidden
+        m, steps = vocab_rows.shape
+        depth = steps + 1 if keep else 2
+        gates = np.empty((depth - 1, m, 4 * hd))
+        tanh_c = np.empty((depth - 1, m, hd))
+        h = np.zeros((depth, m, hd))
+        c = np.zeros((depth, m, hd))
         for t in range(steps):
-            table = p["embed_in"] if t % 4 < 2 else p["embed_op"]
-            x = table[tokens[:, t]]
-            gates = x @ wx + h @ wh + p["b"]
-            i = _sigmoid(gates[:, :h_dim])
-            f = _sigmoid(gates[:, h_dim : 2 * h_dim])
-            g = np.tanh(gates[:, 2 * h_dim : 3 * h_dim])
-            o = _sigmoid(gates[:, 3 * h_dim :])
-            c_next = f * c + i * g
-            tanh_c = np.tanh(c_next)
-            h_next = o * tanh_c
-            if keep_trace:
-                trace.append((x, h, c, i, f, g, o, tanh_c))
-            h, c = h_next, c_next
-        z = h @ p["w_out"] + p["b_out"][0]
-        return _sigmoid(z), h, trace
+            now, nxt, k = t % depth, (t + 1) % depth, t % (depth - 1)
+            a = gates[k]
+            if t:
+                np.matmul(h[now], wh, out=a)
+                a += proj[vocab_rows[:, t]]
+            else:
+                a[...] = proj[vocab_rows[:, 0]]
+            a += self.params["b"]
+            a[:, : 2 * hd] = _sigmoid(a[:, : 2 * hd])
+            np.tanh(a[:, 2 * hd : 3 * hd], out=a[:, 2 * hd : 3 * hd])
+            a[:, 3 * hd :] = _sigmoid(a[:, 3 * hd :])
+            i, f, g, o = (a[:, j * hd : (j + 1) * hd] for j in range(4))
+            np.add(f * c[now], i * g, out=c[nxt])
+            np.tanh(c[nxt], out=tanh_c[k])
+            np.multiply(o, tanh_c[k], out=h[nxt])
+        return h[steps % depth], (gates, tanh_c, h, c)
+
+    def _output(self, h: np.ndarray) -> np.ndarray:
+        return _sigmoid(h @ self.params["w_out"] + self.params["b_out"][0])
 
     def predict(self, cells) -> np.ndarray:
-        _check_batch(cells)
-        out = np.empty(len(cells))
-        for b, idxs in _by_length(cells).items():
-            tokens = np.asarray([cells[i] for i in idxs], dtype=np.int64).reshape(len(idxs), 4 * b)
-            out[idxs], _, _ = self._run(tokens, keep_trace=False)
+        batch = self.encode(cells)
+        projections = self._projections()
+        out = np.empty(len(batch))
+        for rows, tokens in batch.groups:
+            h_last, _ = self._run(tokens + STEP_ROWS[: tokens.shape[1]], projections)
+            out[rows] = self._output(h_last)
         return out
 
     def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        _check_batch(cells)
-        n = len(cells)
-        grads = self._zero_grads()
+        """L1 loss and its gradients; only dh = da @ W_h^T runs inside the backward time loop.
+
+        Each step's gate gradient da replaces its gates. After the loop, W_h
+        and b take theirs from one matmul and one sum over all steps, and the
+        stacked vocabulary collects dP = onehot(rows)^T @ da, which gives
+        W_x's gradient as E^T @ dP and the embeddings' as dP @ W_x^T.
+        """
+        batch = self.encode(cells)
+        n = len(batch)
         p = self.params
-        d, h_dim = self.config.embed_dim, self.config.hidden
-        wx, wh = p["w"][:d], p["w"][d:]
+        d, hd = self.config.embed_dim, self.config.hidden
+        projections = self._projections()
+        proj, wh = projections
+        grads = self._zero_grads()
+        d_proj = np.zeros_like(proj)
         loss = 0.0
-        for b, idxs in _by_length(cells).items():
-            tokens = np.asarray([cells[i] for i in idxs], dtype=np.int64).reshape(len(idxs), 4 * b)
-            probs, h_last, trace = self._run(tokens, keep_trace=True)
-            residual = probs - targets[np.asarray(idxs)]
+        for rows, tokens in batch.groups:
+            m, steps = tokens.shape
+            vocab_rows = tokens + STEP_ROWS[:steps]
+            h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, keep=True)
+            probs = self._output(h_last)
+            residual = probs - targets[rows]
             loss += float(np.sum(np.abs(residual)))
             dz = np.sign(residual) / n * probs * (1.0 - probs)
             grads["w_out"] += h_last.T @ dz
-            grads["b_out"] += np.array([dz.sum()])
+            grads["b_out"] += dz.sum()
             dh = np.outer(dz, p["w_out"])
             dc = np.zeros_like(dh)
-            for t in reversed(range(tokens.shape[1])):
-                x, h_prev, c_prev, i, f, g, o, tanh_c = trace[t]
-                do = dh * tanh_c
-                dc = dc + dh * o * (1.0 - tanh_c**2)
-                di = dc * g
-                df = dc * c_prev
-                dg = dc * i
-                da = np.concatenate(
-                    [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
-                    axis=1,
-                )
-                grads["w"][:d] += x.T @ da
-                grads["w"][d:] += h_prev.T @ da
-                grads["b"] += da.sum(axis=0)
-                dx = da @ wx.T
-                table = "embed_in" if t % 4 < 2 else "embed_op"
-                np.add.at(grads[table], tokens[:, t], dx)
-                dh = da @ wh.T
+            for t in reversed(range(steps)):
+                a = gates[t]
+                i, f, g, o = (a[:, j * hd : (j + 1) * hd] for j in range(4))
+                do = dh * tanh_c[t]
+                dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+                di, df, dg = dc * g, dc * c[t], dc * i
                 dc = dc * f
+                # each gate's activation gives way to the gradient of its pre-activation
+                np.multiply(di * i, 1.0 - i, out=i)
+                np.multiply(df * f, 1.0 - f, out=f)
+                np.multiply(dg, 1.0 - g**2, out=g)
+                np.multiply(do * o, 1.0 - o, out=o)
+                if t:
+                    dh = a @ wh.T
+            da = gates.reshape(steps * m, 4 * hd)
+            # step 0 starts from h = 0, so it adds nothing to W_h's gradient
+            grads["w"][d:] += h[1:steps].reshape(-1, hd).T @ da[m:]
+            grads["b"] += da.sum(axis=0)
+            onehot = np.arange(len(proj))[:, None] == vocab_rows.T.reshape(-1)
+            d_proj += onehot.astype(float) @ da
+        vocab = np.vstack([p["embed_in"], p["embed_op"]])
+        grads["w"][:d] = vocab.T @ d_proj
+        d_vocab = d_proj @ p["w"][:d].T
+        grads["embed_in"], grads["embed_op"] = d_vocab[:INPUT_VOCAB], d_vocab[INPUT_VOCAB:]
         return loss / n, grads
 
 

@@ -15,6 +15,7 @@ from pnas.predictors import (
     MLPPredictor,
     PredictorConfig,
     RNNPredictor,
+    _sigmoid,
     ensemble_fit,
     ensemble_folds,
     gradient_check,
@@ -107,6 +108,122 @@ def test_factored_forward_matches_concatenated_embeddings():
         h = np.tanh(h @ p[f"w{layer}"] + p[f"b{layer}"])
     want = 1.0 / (1.0 + np.exp(-(h @ p["w_out"] + p["b_out"][0])))
     assert np.max(np.abs(model.predict(cells + more) - want)) < 1e-12
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_equal_to_masked_branches():
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    assert np.array_equal(_sigmoid(special).view(np.int64), masked_sigmoid(special).view(np.int64))
+    gates = np.random.default_rng(6).normal(scale=30.0, size=(64, 400))
+    gates[::5, ::7] = np.resize(special, gates[::5, ::7].shape)
+    for cols in (slice(0, 200), slice(300, 400), slice(1, 400, 3)):
+        z = gates[:, cols]
+        assert not z.flags.c_contiguous
+        assert np.array_equal(_sigmoid(z).view(np.int64), masked_sigmoid(z).view(np.int64))
+
+
+def unfactored_lstm(model, cells, targets):
+    """Probabilities, L1 loss and gradients with each token embedded, one cell at a time.
+
+    Gates are x @ W_x + h @ W_h + b with x = E[token]; every step adds its
+    own weight gradients and scatters its embedding gradient with np.add.at.
+    """
+    p = model.params
+    d, hd = model.config.embed_dim, model.config.hidden
+    wx, wh = p["w"][:d], p["w"][d:]
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
+    grads = {key: np.zeros_like(value) for key, value in p.items()}
+    probs, loss, n = np.empty(len(cells)), 0.0, len(cells)
+    for row, (cell, target) in enumerate(zip(cells, targets)):
+        h, c, steps = np.zeros(hd), np.zeros(hd), []
+        for t, token in enumerate(np.asarray(cell).reshape(-1)):
+            table = "embed_in" if t % 4 < 2 else "embed_op"
+            x = p[table][token]
+            a = x @ wx + h @ wh + p["b"]
+            i, f, g, o = sig(a[:hd]), sig(a[hd : 2 * hd]), np.tanh(a[2 * hd : 3 * hd]), sig(a[3 * hd :])
+            c_next = f * c + i * g
+            steps.append((table, token, x, h, c, i, f, g, o, np.tanh(c_next)))
+            h, c = o * np.tanh(c_next), c_next
+        probs[row] = prob = sig(h @ p["w_out"] + p["b_out"][0])
+        loss += abs(prob - target) / n
+        dz = np.sign(prob - target) / n * prob * (1.0 - prob)
+        grads["w_out"] += h * dz
+        grads["b_out"] += dz
+        dh, dc = dz * p["w_out"], np.zeros(hd)
+        for table, token, x, h_prev, c_prev, i, f, g, o, tanh_c in reversed(steps):
+            dc = dc + dh * o * (1.0 - tanh_c**2)
+            da = np.concatenate(
+                [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g**2), dh * tanh_c * o * (1.0 - o)]
+            )
+            grads["w"][:d] += np.outer(x, da)
+            grads["w"][d:] += np.outer(h_prev, da)
+            grads["b"] += da
+            np.add.at(grads[table], token, da @ wx.T)
+            dh, dc = da @ wh.T, dc * f
+    return probs, loss, grads
+
+
+def test_factored_lstm_matches_unfactored_reference():
+    rng = np.random.default_rng(7)
+    cells = [random_cell(b, rng) for b in (2, 1, 3, 5, 2, 3, 1, 4) for _ in range(3)]
+    targets = rng.uniform(0.3, 0.95, size=len(cells))
+    model = new_predictor(small_config("rnn", seed=5))
+    model.fit(cells, targets, level=1)  # move every weight off its initial value
+    probs, loss, grads = unfactored_lstm(model, cells, targets)
+    got_loss, got_grads = model.loss_and_grads(cells, targets)
+    assert np.max(np.abs(model.predict(cells) - probs)) < 1e-12
+    assert abs(got_loss - loss) < 1e-12
+    assert got_grads.keys() == grads.keys()
+    for key in grads:
+        assert np.max(np.abs(got_grads[key] - grads[key])) < 1e-12, key
+
+
+def assert_same_tokens(got, want):
+    assert len(got) == len(want)
+    assert len(got.groups) == len(want.groups)
+    for (rows, tokens), (want_rows, want_tokens) in zip(got.groups, want.groups):
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(tokens, want_tokens)
+
+
+def test_rnn_predicts_id_arrays_like_cells():
+    rng = np.random.default_rng(8)
+    cells = [random_cell(4, rng) for _ in range(25)]
+    model = new_predictor(small_config("rnn"))
+    array = np.asarray(cells, dtype=np.int8)
+    assert_same_tokens(RNNPredictor.encode(array), RNNPredictor.encode(cells))
+    assert np.array_equal(model.predict(array), model.predict(cells))
+
+
+def test_token_batch_take_equals_encoding_the_subset():
+    rng = np.random.default_rng(9)
+    cells = [random_cell(b, rng) for b in (3, 1, 2, 3, 5, 1, 2) for _ in range(4)]
+    batch = RNNPredictor.encode(cells)
+    assert RNNPredictor.encode(batch) is batch
+    assert [len(cell) for cell in batch] == [len(cell) for cell in cells]
+    assert all(np.array_equal(got, want) for got, want in zip(batch, cells))
+    for index in (np.arange(0, 28, 3), [20, 2, 2, 11, 27, 0], np.setdiff1d(np.arange(28), [4, 9, 13])):
+        assert_same_tokens(RNNPredictor.take(batch, index), RNNPredictor.encode([cells[j] for j in index]))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "rnn"])
+def test_ids_outside_the_vocabulary_rejected(kind):
+    model = new_predictor(small_config(kind))
+    for block in (0, 1, 0, -1), (0, 1, 8, 0), (11, 0, 0, 0), (0, -1, 0, 0):
+        with pytest.raises(ValueError, match="token ids"):
+            model.predict([(block,)])
+        with pytest.raises(ValueError, match="token ids"):
+            model.fit([(block,)], [0.5], level=1)
+    with pytest.raises(ValueError, match="token ids"):
+        model.predict(np.asarray([[[0, 0, 0, 0]], [[0, 0, 0, 8]]]))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
