@@ -14,7 +14,7 @@ import time
 
 from pnas.evaluators import SyntheticOracle, SyntheticOracleConfig
 from pnas.metrics import aggregate_curves
-from pnas.search import SearchConfig, pnas_search, random_search
+from pnas.search import SearchConfig, pnas_search, random_search, top_m_table
 from pnas.traceio import write_summary_csv
 
 
@@ -41,8 +41,8 @@ def main() -> int:
         )
         trace_p = pnas_search(config, oracle)
         trace_r = random_search(trace_p.m1, args.blocks, oracle, seed)
-        curves["pnas"].append(trace_p.accuracies())
-        curves["random"].append(trace_r.accuracies())
+        curves["pnas"].append(top_m_table(trace_p, m_values))
+        curves["random"].append(top_m_table(trace_r, m_values))
         _, acc_p = trace_p.best()
         _, acc_r = trace_r.best()
         wins += acc_p > acc_r

@@ -13,7 +13,6 @@ from .cells import (
     cell_key,
     count_space,
     enumerate_blocks,
-    expand_cell,
     is_canonical,
     one_block_cells,
     parse_cell_key,
@@ -57,9 +56,7 @@ from .predictors import (
     SlotCounts,
     ensemble_fit,
     gradient_check,
-    load_checkpoint,
     new_predictor,
-    save_checkpoint,
     snapshot_id,
 )
 from .search import (
@@ -76,7 +73,7 @@ from .search import (
     top_m_table,
 )
 from .seeding import derive_seed
-from .traceio import TraceWriter, eval_accuracies, read_trace, write_json, write_summary_csv
+from .traceio import TraceWriter, read_trace, write_json, write_summary_csv
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Block/cell search space: enumeration, canonical forms, expansion, counting.
+"""Block/cell search space: enumeration, canonical forms, counting.
 
 A cell is an ordered tuple of blocks. Block k (1-indexed) applies two
 operators to two inputs and adds the results; legal input ids for block k
@@ -165,25 +165,6 @@ def canonical_blocks(b: int) -> tuple[BlockSpec, ...]:
 def one_block_cells() -> list[CellSpec]:
     """The 136 distinct one-block cells (the level-1 candidate set)."""
     return [(blk,) for blk in canonical_blocks(1)]
-
-
-def expand_cell(cell: CellSpec) -> list[CellSpec]:
-    """All distinct canonical one-block extensions of a canonical cell.
-
-    Children keep the parent as an unchanged prefix. Appending every raw
-    block from ``enumerate_blocks`` and canonicalizing each child is
-    equivalent to appending each canonical block exactly once, because
-    canonicalization acts per block; the dedup therefore reuses the cached
-    canonical block list. Children of distinct canonical parents can never
-    collide, for the same reason.
-    """
-    validate_cell(cell)
-    if not is_canonical(cell):
-        raise ValueError("expand_cell requires a canonical cell")
-    b = len(cell) + 1
-    if b > B_MAX:
-        raise ValueError(f"cannot expand a cell beyond {B_MAX} blocks")
-    return [cell + (blk,) for blk in canonical_blocks(b)]
 
 
 def count_space(b_max: int) -> SpaceSize:

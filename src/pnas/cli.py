@@ -16,6 +16,7 @@ import argparse
 import os
 import shlex
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -76,89 +77,87 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _merge(defaults: dict, casters: dict, file_entries: dict[str, str], args: argparse.Namespace) -> dict:
+def _merge(defaults: dict, args: argparse.Namespace) -> dict:
+    """Defaults, then config-file entries parsed as their default's type, then flags."""
     merged = dict(defaults)
-    for key, text in file_entries.items():
-        if key not in casters:
+    for key, text in (load_config_file(args.config) if args.config else {}).items():
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            caster = casters[key]
-            merged[key] = caster(text)
+            merged[key] = type(defaults[key])(text)
         except ValueError:
             raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from None
-    for key in casters:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
 
 
-def _bool_from_text(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
+@contextmanager
+def _run_dir(path: str, manifest: dict):
+    """Create and lock the run directory, and keep its manifest's status current.
 
-
-class _RunDir:
-    """Creates the output directory and holds its lockfile for the run."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
+    The manifest is written as ``running`` on entry and rewritten as
+    ``completed``, or as ``failed`` before the exception propagates. The
+    lock is released either way. Yields a function that joins names onto
+    the directory.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create run directory {path}: {exc}") from None
+    lock_path = os.path.join(path, ".lock")
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise ConfigError(
+            f"run directory {path!r} is locked by another run"
+            f" (remove {lock_path} if that run is dead)"
+        ) from None
+    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+    os.close(fd)
+    manifest_path = os.path.join(path, "manifest.json")
+    try:
+        manifest.update(started_utc=_utc_now(), finished_utc=None, status="running")
+        write_json(manifest_path, manifest)
         try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create run directory {path}: {exc}") from None
-        self.lock_path = os.path.join(path, ".lock")
+            yield lambda *names: os.path.join(path, *names)
+        except BaseException:
+            manifest.update(status="failed", finished_utc=_utc_now())
+            write_json(manifest_path, manifest)
+            raise
+        manifest.update(status="completed", finished_utc=_utc_now())
+        write_json(manifest_path, manifest)
+    finally:
         try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"run directory {path!r} is locked by another run"
-                f" (remove {self.lock_path} if that run is dead)"
-            ) from None
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
-
-    def file(self, name: str) -> str:
-        return os.path.join(self.path, name)
-
-    def release(self) -> None:
-        try:
-            os.unlink(self.lock_path)
+            os.unlink(lock_path)
         except OSError:
             pass
 
 
-def _make_evaluator(backend: str, sigma: float, table: str | None, worker_cmd: str | None):
+EVALUATOR_BACKENDS = ("synthetic", "tabular", "external")
+
+
+def _make_evaluator(backend: str, sigma: float, table: str | None, worker_cmd: str | None) -> tuple[object, dict]:
+    """The evaluator for a checked backend name, and its manifest entry."""
     try:
         if backend == "synthetic":
-            return SyntheticOracle(SyntheticOracleConfig(noise_sigma=sigma))
+            return SyntheticOracle(SyntheticOracleConfig(noise_sigma=sigma)), {"backend": backend, "sigma": sigma}
         if backend == "tabular":
             if not table:
                 raise ConfigError("the tabular evaluator needs --table")
             try:
-                return TabularEvaluator.from_csv(table)
+                return TabularEvaluator.from_csv(table), {"backend": backend, "table": table}
             except OSError as exc:
                 raise ConfigError(f"cannot read table {table!r}: {exc}") from None
-        if backend == "external":
-            if not worker_cmd:
-                raise ConfigError("the external evaluator needs --worker-cmd")
-            return ExternalEvaluator(shlex.split(worker_cmd))
+        if not worker_cmd:
+            raise ConfigError("the external evaluator needs --worker-cmd")
+        argv = shlex.split(worker_cmd)
+        return ExternalEvaluator(argv), {"backend": backend, "worker_cmd": argv}
     except ValueError as exc:
         # bad user input (negative sigma, empty worker command), not a bug
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown evaluator backend {backend!r}")
-
-
-def _evaluator_manifest(backend: str, sigma: float, table: str | None, worker_cmd: str | None) -> dict:
-    if backend == "synthetic":
-        return {"backend": backend, "sigma": sigma}
-    if backend == "tabular":
-        return {"backend": backend, "table": table}
-    return {"backend": backend, "worker_cmd": shlex.split(worker_cmd or "")}
 
 
 def _versions() -> dict:
@@ -186,29 +185,13 @@ SEARCH_DEFAULTS = {
     "worker_cmd": "",
 }
 
-SEARCH_CASTERS = {
-    "strategy": str,
-    "blocks": int,
-    "beam_size": int,
-    "epochs": int,
-    "filters": int,
-    "cell_repeats": int,
-    "count": int,
-    "predictor": str,
-    "evaluator": str,
-    "sigma": float,
-    "seed": int,
-    "out": str,
-    "table": str,
-    "worker_cmd": str,
-}
-
 
 def cmd_search(args: argparse.Namespace) -> int:
-    file_entries = load_config_file(args.config) if args.config else {}
-    opts = _merge(SEARCH_DEFAULTS, SEARCH_CASTERS, file_entries, args)
+    opts = _merge(SEARCH_DEFAULTS, args)
     if opts["strategy"] not in ("pnas", "random"):
         raise ConfigError(f"--strategy must be pnas or random, got {opts['strategy']!r}")
+    if opts["evaluator"] not in EVALUATOR_BACKENDS:
+        raise ConfigError(f"evaluator must be one of {EVALUATOR_BACKENDS}, got {opts['evaluator']!r}")
     try:
         config = SearchConfig(
             b_max=opts["blocks"],
@@ -217,7 +200,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             filters=opts["filters"],
             cell_repeats=opts["cell_repeats"],
             predictor=opts["predictor"],
-            evaluator=opts["evaluator"],
             seed=opts["seed"],
         )
     except ValueError as exc:
@@ -239,81 +221,65 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     # construct before touching the output directory so bad evaluator
     # options fail without leaving a half-written run behind
-    evaluator = _make_evaluator(opts["evaluator"], opts["sigma"], opts["table"] or None, opts["worker_cmd"] or None)
-    run_dir = _RunDir(opts["out"])
-    try:
-        manifest = {
-            "format_version": 1,
-            "command": "search",
-            "strategy": opts["strategy"],
-            "config": asdict(config),
-            "count": count if opts["strategy"] == "random" else None,
-            "evaluator": _evaluator_manifest(opts["evaluator"], opts["sigma"], opts["table"] or None, opts["worker_cmd"] or None),
-            "seeds": {
-                "master": config.seed,
-                "eval": derive_seed(config.seed, "eval"),
-                "predictor": derive_seed(config.seed, "predictor"),
-                "random_search": derive_seed(config.seed, "random-search"),
-            },
-            "versions": _versions(),
-            "outputs": {
-                "trace": "trace.jsonl",
-                "summary": "summary.csv",
-                "best_cells": "best_cells.csv",
-                "graphs": "graphs",
-            },
-            "started_utc": _utc_now(),
-            "finished_utc": None,
-            "status": "running",
-        }
-        write_json(run_dir.file("manifest.json"), manifest)
-        try:
-            with TraceWriter(run_dir.file("trace.jsonl")) as writer:
-                if opts["strategy"] == "pnas":
-                    trace = pnas_search(config, evaluator, writer)
-                else:
-                    trace = random_search(
-                        count,
-                        config.b_max,
-                        evaluator,
-                        config.seed,
-                        epochs=config.epochs,
-                        filters=config.filters,
-                        cell_repeats=config.cell_repeats,
-                        writer=writer,
-                    )
+    evaluator, evaluator_entry = _make_evaluator(
+        opts["evaluator"], opts["sigma"], opts["table"] or None, opts["worker_cmd"] or None
+    )
+    manifest = {
+        "format_version": 1,
+        "command": "search",
+        "strategy": opts["strategy"],
+        "config": asdict(config),
+        "count": count if opts["strategy"] == "random" else None,
+        "evaluator": evaluator_entry,
+        "seeds": {
+            "master": config.seed,
+            "eval": derive_seed(config.seed, "eval"),
+            "predictor": derive_seed(config.seed, "predictor"),
+            "random_search": derive_seed(config.seed, "random-search"),
+        },
+        "versions": _versions(),
+        "outputs": {
+            "trace": "trace.jsonl",
+            "summary": "summary.csv",
+            "best_cells": "best_cells.csv",
+            "graphs": "graphs",
+        },
+    }
+    with _run_dir(opts["out"], manifest) as path:
+        with TraceWriter(path("trace.jsonl")) as writer:
+            if opts["strategy"] == "pnas":
+                trace = pnas_search(config, evaluator, writer)
+            else:
+                trace = random_search(
+                    count,
+                    config.b_max,
+                    evaluator,
+                    config.seed,
+                    epochs=config.epochs,
+                    filters=config.filters,
+                    cell_repeats=config.cell_repeats,
+                    writer=writer,
+                )
 
-            write_summary_csv(run_dir.file("summary.csv"), top_m_table(trace))
-            write_summary_csv(
-                run_dir.file("best_cells.csv"),
-                [
-                    {"level": level, "cell_key": key, "accuracy": acc}
-                    for level, key, acc in trace.best_per_level()
-                ],
-            )
-            graphs_dir = run_dir.file("graphs")
-            os.makedirs(graphs_dir, exist_ok=True)
-            plan = StackPlan(n=config.cell_repeats, f=config.filters)
-            for level, key, _ in trace.best_per_level():
-                graph = build_network(parse_cell_key(key), plan)
-                write_json(os.path.join(graphs_dir, f"best_b{level}.json"), export_graph(graph, cell_key=key, plan=plan))
-        except BaseException:
-            manifest["status"] = "failed"
-            manifest["finished_utc"] = _utc_now()
-            write_json(run_dir.file("manifest.json"), manifest)
-            raise
+        write_summary_csv(path("summary.csv"), top_m_table(trace))
+        write_summary_csv(
+            path("best_cells.csv"),
+            [
+                {"level": level, "cell_key": key, "accuracy": acc}
+                for level, key, acc in trace.best_per_level()
+            ],
+        )
+        os.makedirs(path("graphs"), exist_ok=True)
+        plan = StackPlan(n=config.cell_repeats, f=config.filters)
+        for level, key, _ in trace.best_per_level():
+            graph = build_network(parse_cell_key(key), plan)
+            write_json(path("graphs", f"best_b{level}.json"), export_graph(graph, cell_key=key, plan=plan))
 
-        manifest["status"] = "completed"
-        manifest["finished_utc"] = _utc_now()
-        write_json(run_dir.file("manifest.json"), manifest)
-
-        best_key, best_acc = trace.best()
-        print(f"best_cell {best_key}")
-        print(f"best_accuracy {best_acc!r}")
-        print(f"out {run_dir.path}")
-        return 0
-    finally:
-        run_dir.release()
+    best_key, best_acc = trace.best()
+    print(f"best_cell {best_key}")
+    print(f"best_accuracy {best_acc!r}")
+    print(f"out {opts['out']}")
+    return 0
 
 
 HARNESS_DEFAULTS = {
@@ -328,22 +294,9 @@ HARNESS_DEFAULTS = {
     "out": "runs/harness",
 }
 
-HARNESS_CASTERS = {
-    "predictors": str,
-    "trials": int,
-    "sample_size": int,
-    "pool_size": int,
-    "blocks": int,
-    "epochs": int,
-    "sigma": float,
-    "seed": int,
-    "out": str,
-}
-
 
 def cmd_harness(args: argparse.Namespace) -> int:
-    file_entries = load_config_file(args.config) if args.config else {}
-    opts = _merge(HARNESS_DEFAULTS, HARNESS_CASTERS, file_entries, args)
+    opts = _merge(HARNESS_DEFAULTS, args)
     kinds = tuple(part.strip() for part in opts["predictors"].split(",") if part.strip())
     sigma = opts["sigma"]
     if args.perfect:
@@ -362,74 +315,53 @@ def cmd_harness(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    evaluator, evaluator_entry = _make_evaluator("synthetic", sigma, None, None)
 
-    try:
-        evaluator = SyntheticOracle(SyntheticOracleConfig(noise_sigma=sigma))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    manifest = {
+        "format_version": 1,
+        "command": "harness",
+        "config": asdict(config),
+        "evaluator": evaluator_entry,
+        "seeds": {
+            "master": config.seed,
+            "eval": derive_seed(config.seed, "eval"),
+            "pools": {b: derive_seed(config.seed, "pool", b) for b in range(2, config.b_max + 1)},
+        },
+        "versions": _versions(),
+        "outputs": {"summary": "summary.csv", "report": "report.json"},
+    }
+    with _run_dir(opts["out"], manifest) as path:
+        report = predictor_harness(config, evaluator)
 
-    run_dir = _RunDir(opts["out"])
-    try:
-        manifest = {
-            "format_version": 1,
-            "command": "harness",
-            "config": asdict(config),
-            "evaluator": {"backend": "synthetic", "sigma": sigma},
-            "seeds": {
-                "master": config.seed,
-                "eval": derive_seed(config.seed, "eval"),
-                "pools": {b: derive_seed(config.seed, "pool", b) for b in range(2, config.b_max + 1)},
-            },
-            "versions": _versions(),
-            "outputs": {"summary": "summary.csv", "report": "report.json"},
-            "started_utc": _utc_now(),
-            "finished_utc": None,
-            "status": "running",
-        }
-        write_json(run_dir.file("manifest.json"), manifest)
-        try:
-            report = predictor_harness(config, evaluator)
-
-            # wide layout: one row per predictor, correlation columns by level
-            fields = ["predictor"]
+        # wide layout: one row per predictor, correlation columns by level
+        fields = ["predictor"]
+        for b in report.levels:
+            fields += [f"rho_fit_{b}", f"rho_extrapolate_{b + 1}"]
+        rows = []
+        for kind in report.kinds:
+            row: dict = {"predictor": kind}
             for b in report.levels:
-                fields += [f"rho_fit_{b}", f"rho_extrapolate_{b + 1}"]
-            rows = []
-            for kind in report.kinds:
-                row: dict = {"predictor": kind}
-                for b in report.levels:
-                    row[f"rho_fit_{b}"] = report.mean_fit(kind, b)
-                    row[f"rho_extrapolate_{b + 1}"] = report.mean_extrapolate(kind, b)
-                rows.append(row)
-            write_summary_csv(run_dir.file("summary.csv"), rows, field_order=fields)
-            write_json(
-                run_dir.file("report.json"),
-                {
-                    "kinds": list(report.kinds),
-                    "levels": list(report.levels),
-                    "fit": {f"{kind}/{b}": list(report.fit[(kind, b)]) for kind, b in report.fit},
-                    "extrapolate": {
-                        f"{kind}/{b}": list(report.extrapolate[(kind, b)]) for kind, b in report.extrapolate
-                    },
+                row[f"rho_fit_{b}"] = report.mean_fit(kind, b)
+                row[f"rho_extrapolate_{b + 1}"] = report.mean_extrapolate(kind, b)
+            rows.append(row)
+        write_summary_csv(path("summary.csv"), rows, field_order=fields)
+        write_json(
+            path("report.json"),
+            {
+                "kinds": list(report.kinds),
+                "levels": list(report.levels),
+                "fit": {f"{kind}/{b}": list(report.fit[(kind, b)]) for kind, b in report.fit},
+                "extrapolate": {
+                    f"{kind}/{b}": list(report.extrapolate[(kind, b)]) for kind, b in report.extrapolate
                 },
-            )
-        except BaseException:
-            manifest["status"] = "failed"
-            manifest["finished_utc"] = _utc_now()
-            write_json(run_dir.file("manifest.json"), manifest)
-            raise
+            },
+        )
 
-        manifest["status"] = "completed"
-        manifest["finished_utc"] = _utc_now()
-        write_json(run_dir.file("manifest.json"), manifest)
-
-        for row in rows:
-            parts = [f"{key}={row[key]!r}" for key in fields[1:]]
-            print(f"{row['predictor']} " + " ".join(parts))
-        print(f"out {run_dir.path}")
-        return 0
-    finally:
-        run_dir.release()
+    for row in rows:
+        parts = [f"{key}={row[key]!r}" for key in fields[1:]]
+        print(f"{row['predictor']} " + " ".join(parts))
+    print(f"out {opts['out']}")
+    return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -491,7 +423,7 @@ def build_parser() -> _Parser:
     search.add_argument("-N", "--cell-repeats", dest="cell_repeats", type=int, default=None)
     search.add_argument("--count", type=int, default=None, help="random-strategy sample count (default: match pnas budget)")
     search.add_argument("--predictor", choices=PREDICTOR_KINDS, default=None)
-    search.add_argument("--evaluator", choices=("synthetic", "tabular", "external"), default=None)
+    search.add_argument("--evaluator", choices=EVALUATOR_BACKENDS, default=None)
     search.add_argument("--table", default=None, help="benchmark CSV for the tabular evaluator")
     search.add_argument("--worker-cmd", dest="worker_cmd", default=None, help="command line of the external worker")
     search.add_argument("--sigma", type=float, default=None, help="synthetic oracle noise standard deviation")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import subprocess
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +83,6 @@ class EvalRecord:
     seed: int
     epochs: int
     backend: str
-    wall_time: float = 0.0
     error: str | None = None
 
     def __post_init__(self) -> None:
@@ -179,16 +177,13 @@ class SyntheticOracle:
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
         records = []
         for cell in sorted(request.cells, key=cell_key):
-            started = time.perf_counter()
-            acc = self.noisy_accuracy(cell, request.seed)
             records.append(
                 EvalRecord(
                     cell_key=cell_key(cell),
-                    accuracy=acc,
+                    accuracy=self.noisy_accuracy(cell, request.seed),
                     seed=request.seed,
                     epochs=request.epochs,
                     backend=self.backend_name,
-                    wall_time=time.perf_counter() - started,
                 )
             )
         return records
@@ -242,7 +237,6 @@ class TabularEvaluator:
         return cls(rows)
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        started = time.perf_counter()
         keys = sorted(cell_key(cell) for cell in request.cells)
         missing = [k for k in keys if k not in self.rows]
         if missing:
@@ -250,7 +244,6 @@ class TabularEvaluator:
                 f"benchmark table has no entry for cell {missing[0]!r}"
                 + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
             )
-        elapsed = time.perf_counter() - started
         records = []
         for key in keys:
             stored = self.rows[key]
@@ -262,7 +255,6 @@ class TabularEvaluator:
                     seed=request.seed,
                     epochs=request.epochs,
                     backend=self.backend_name,
-                    wall_time=elapsed,
                 )
             )
         return records
@@ -299,7 +291,6 @@ class ExternalEvaluator:
         self.retries = retries
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        started = time.perf_counter()
         keys = sorted(cell_key(cell) for cell in request.cells)
         pending: dict[int, str] = dict(enumerate(keys))
         answers: dict[int, EvalRecord] = {}
@@ -313,19 +304,7 @@ class ExternalEvaluator:
                         f"worker {self.worker_cmd[0]!r} left {len(pending)} of {len(keys)} "
                         f"requests unanswered after {self.retries} retries"
                     )
-        elapsed = time.perf_counter() - started
-        return [
-            EvalRecord(
-                cell_key=answers[i].cell_key,
-                accuracy=answers[i].accuracy,
-                seed=answers[i].seed,
-                epochs=answers[i].epochs,
-                backend=self.backend_name,
-                wall_time=elapsed,
-                error=answers[i].error,
-            )
-            for i in range(len(keys))
-        ]
+        return [answers[i] for i in range(len(keys))]
 
     def _run_batch(self, request: EvalRequest, pending: dict[int, str], answers: dict[int, EvalRecord]) -> None:
         lines = [
@@ -393,6 +372,9 @@ class ExternalEvaluator:
                     )
                 else:
                     answers[rid] = self._record(key, request, float(acc), None)
+        except BaseException:
+            proc.kill()  # a worker still alive would block the wait below forever
+            raise
         finally:
             writer.join(timeout=5.0)
             try:

@@ -39,8 +39,6 @@ class HarnessConfig:
     b_max: int = 5
     kinds: tuple[str, ...] = TRAINED_KINDS
     epochs: int = 20
-    filters: int = 24
-    cell_repeats: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -48,7 +46,7 @@ class HarnessConfig:
             raise ValueError(
                 f"sample_size {self.sample_size} exceeds pool_size {self.pool_size}"
             )
-        for name in ("trials", "sample_size", "pool_size", "epochs", "filters", "cell_repeats"):
+        for name in ("trials", "sample_size", "pool_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 2 <= self.b_max <= B_MAX:
@@ -76,23 +74,6 @@ class CorrelationReport:
         """Mean extrapolation coefficient at level + 1, for the fit at `level`."""
         return float(np.mean(self.extrapolate[(kind, level)]))
 
-    def rows(self) -> list[dict]:
-        """Flat table, one row per (kind, level), for CSV export."""
-        out = []
-        for kind in self.kinds:
-            for level in self.levels:
-                out.append(
-                    {
-                        "kind": kind,
-                        "level": level,
-                        "rho_fit_mean": self.mean_fit(kind, level),
-                        "rho_extrapolate_mean": self.mean_extrapolate(kind, level),
-                        "rho_fit_trials": list(self.fit[(kind, level)]),
-                        "rho_extrapolate_trials": list(self.extrapolate[(kind, level)]),
-                    }
-                )
-        return out
-
 
 def distinct_random_cells(count: int, b: int, seed: int) -> list[CellSpec]:
     """Uniform draws rejected on repeated keys until `count` distinct cells."""
@@ -116,8 +97,7 @@ def distinct_random_cells(count: int, b: int, seed: int) -> list[CellSpec]:
 
 
 def _measure(evaluator, cells, config: HarnessConfig, eval_seed: int) -> np.ndarray:
-    plan = StackPlan(n=config.cell_repeats, f=config.filters)
-    request = EvalRequest(cells=tuple(cells), epochs=config.epochs, plan=plan, seed=eval_seed)
+    request = EvalRequest(cells=tuple(cells), epochs=config.epochs, plan=StackPlan(), seed=eval_seed)
     by_key = {rec.cell_key: rec.accuracy for rec in evaluator.evaluate(request)}
     missing = [key for cell in cells if (key := cell_key(cell)) not in by_key or by_key[key] is None]
     if missing:

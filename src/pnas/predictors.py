@@ -56,7 +56,6 @@ L1 + sigmoid pipeline against central finite differences.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +66,6 @@ from .seeding import derive_seed
 INPUT_VOCAB = B_MAX + 1  # input ids 0 .. B_MAX cover blocks of every level
 OP_VOCAB = len(Operator)
 ENSEMBLE_SIZE = 5
-CHECKPOINT_VERSION = 1
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -634,45 +632,3 @@ def snapshot_id(model: Predictor | Ensemble) -> str:
             digest.update(key.encode("ascii"))
             digest.update(np.ascontiguousarray(model.params[key]).tobytes())
     return digest.hexdigest()[:16]
-
-
-def save_checkpoint(model: Predictor | Ensemble, path: str) -> None:
-    """Versioned .npz dump: JSON header plus float64 weight arrays."""
-    arrays: dict[str, np.ndarray] = {}
-    if isinstance(model, Ensemble):
-        meta = {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "ensemble",
-            "members": [member.config.__dict__ for member in model.members],
-        }
-        for index, member in enumerate(model.members):
-            for key, value in member.params.items():
-                arrays[f"member{index}/{key}"] = value
-    else:
-        meta = {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": model.kind,
-            "config": dict(model.config.__dict__),
-        }
-        arrays.update(model.params)
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
-
-
-def load_checkpoint(path: str) -> Predictor | Ensemble:
-    with np.load(path) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')!r}")
-        if meta["kind"] == "ensemble":
-            members = []
-            for index, config_dict in enumerate(meta["members"]):
-                member = new_predictor(PredictorConfig(**config_dict))
-                for key in member.params:
-                    member.params[key] = data[f"member{index}/{key}"].astype(float)
-                members.append(member)
-            return Ensemble(tuple(members))
-        model = new_predictor(PredictorConfig(**meta["config"]))
-        for key in model.params:
-            model.params[key] = data[key].astype(float)
-        return model

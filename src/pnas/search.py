@@ -54,7 +54,6 @@ from .predictors import PredictorConfig, ensemble_fit, new_predictor, snapshot_i
 from .seeding import derive_seed
 
 PREDICTOR_KINDS = ("mlp", "rnn", "mlp-ens", "rnn-ens", "perfect")
-EVALUATOR_BACKENDS = ("synthetic", "tabular", "external")
 
 # examples consumed per proxy-training epoch (train split of the image
 # benchmark); budget arithmetic only, nothing is actually trained
@@ -73,26 +72,21 @@ class SearchConfig:
     filters: int = 24
     cell_repeats: int = 2
     predictor: str = "mlp-ens"
-    evaluator: str = "synthetic"
     seed: int = 0
-    trials: int = 5
-    examples_per_epoch: int = EXAMPLES_PER_EPOCH
     chunk_size: int = 32_768
 
     def __post_init__(self) -> None:
         if not 1 <= self.b_max <= B_MAX:
             raise ValueError(f"b_max must be in [1, {B_MAX}], got {self.b_max}")
-        for name in ("beam_size", "epochs", "filters", "cell_repeats", "trials", "examples_per_epoch", "chunk_size"):
+        for name in ("beam_size", "epochs", "filters", "cell_repeats", "chunk_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.predictor not in PREDICTOR_KINDS:
             raise ValueError(f"predictor must be one of {PREDICTOR_KINDS}, got {self.predictor!r}")
-        if self.evaluator not in EVALUATOR_BACKENDS:
-            raise ValueError(f"evaluator must be one of {EVALUATOR_BACKENDS}, got {self.evaluator!r}")
 
     @property
     def examples_per_model(self) -> int:
-        return self.epochs * self.examples_per_epoch
+        return self.epochs * EXAMPLES_PER_EPOCH
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,6 @@ class LevelResult:
     keys: tuple[str, ...]
     predicted: tuple[float, ...] | None
     measured: tuple[float | None, ...]
-    snapshot: str
 
     def best(self) -> tuple[str, float]:
         """Highest measured accuracy, ties to the smallest key."""
@@ -120,14 +113,12 @@ class SearchTrace:
     records: tuple[EvalRecord, ...]
     m1: int
     e1: int
-    m2: int = 0
-    e2: int = 0
     raw_candidates: tuple[int, ...] = ()
     unique_candidates: tuple[int, ...] = ()
 
     @property
     def cost(self) -> int:
-        return compute_cost(self.m1, self.e1, self.m2, self.e2)
+        return compute_cost(self.m1, self.e1)
 
     def best(self) -> tuple[str, float]:
         """Best measured cell of the final level."""
@@ -141,10 +132,8 @@ class SearchTrace:
         return [rec.accuracy for rec in self.records if rec.ok]
 
 
-def compute_cost(m1: "int | SearchTrace", e1: int, m2: int = 0, e2: int = 0) -> int:
+def compute_cost(m1: int, e1: int, m2: int = 0, e2: int = 0) -> int:
     """Total examples processed: M1*E1 + M2*E2, exact integer arithmetic."""
-    if isinstance(m1, SearchTrace):
-        m1 = m1.m1
     return int(m1) * int(e1) + int(m2) * int(e2)
 
 
@@ -282,14 +271,13 @@ def top_children(scores: np.ndarray, beam: list[CellSpec], blocks, k: int) -> li
     return ranked[:k]
 
 
-def _level_result(level: int, records: list[EvalRecord], predicted: dict[str, float] | None, snapshot: str) -> LevelResult:
+def _level_result(level: int, records: list[EvalRecord], predicted: dict[str, float] | None) -> LevelResult:
     keys = tuple(rec.cell_key for rec in records)
     return LevelResult(
         level=level,
         keys=keys,
         predicted=None if predicted is None else tuple(predicted[k] for k in keys),
         measured=tuple(rec.accuracy for rec in records),
-        snapshot=snapshot,
     )
 
 
@@ -326,7 +314,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
     _check_some_succeeded(records, 1)
     snapshot = surrogate.update(train_cells, np.asarray(train_accs), 1)
     _emit(writer, event="fit", level=1, cell_key=None, value=snapshot, seed=predictor_seed)
-    levels.append(_level_result(1, records, None, snapshot))
+    levels.append(_level_result(1, records, None))
 
     for b in range(2, config.b_max + 1):
         blocks = canonical_blocks(b)
@@ -356,7 +344,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
         _check_some_succeeded(records, b)
         snapshot = surrogate.update(train_cells, np.asarray(train_accs), b)
         _emit(writer, event="fit", level=b, cell_key=None, value=snapshot, seed=predictor_seed)
-        levels.append(_level_result(b, records, predicted, snapshot))
+        levels.append(_level_result(b, records, predicted))
 
     return SearchTrace(
         levels=tuple(levels),
@@ -376,7 +364,6 @@ def random_search(
     epochs: int = 20,
     filters: int = 24,
     cell_repeats: int = 2,
-    examples_per_epoch: int = EXAMPLES_PER_EPOCH,
     writer=None,
 ) -> SearchTrace:
     """Uniformly sample `count` cells of exactly b_max blocks and evaluate all.
@@ -397,16 +384,9 @@ def random_search(
         cell = random_cell(b_max, rng)
         records.extend(_evaluate(evaluator, [cell], b_max, epochs, plan, eval_seed, writer))
     _check_some_succeeded(records, b_max)
-    level = LevelResult(
-        level=b_max,
-        keys=tuple(rec.cell_key for rec in records),
-        predicted=None,
-        measured=tuple(rec.accuracy for rec in records),
-        snapshot="none",
-    )
     return SearchTrace(
-        levels=(level,),
+        levels=(_level_result(b_max, records, None),),
         records=tuple(records),
         m1=count,
-        e1=epochs * examples_per_epoch,
+        e1=epochs * EXAMPLES_PER_EPOCH,
     )

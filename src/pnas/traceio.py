@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class TraceWriter:
@@ -35,26 +35,24 @@ class TraceWriter:
 
 
 def read_trace(path: str) -> list[dict]:
+    """Events in file order.
+
+    A last line without its newline that does not parse is the torn write
+    of a crashed run and is dropped; any other bad line raises ValueError.
+    """
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
             try:
-                events.append(json.loads(line))
+                events.append(json.loads(text))
             except json.JSONDecodeError as exc:
+                if not line.endswith("\n"):
+                    break
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
     return events
-
-
-def eval_accuracies(events: Iterable[dict]) -> list[float]:
-    """Successful accuracies from eval events, in file order."""
-    return [
-        ev["value"]
-        for ev in events
-        if ev.get("event") == "eval" and ev.get("value") is not None and "error" not in ev
-    ]
 
 
 def write_summary_csv(path: str, rows: Sequence[dict], field_order: Sequence[str] | None = None) -> None:

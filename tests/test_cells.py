@@ -2,11 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from pnas.cells import (
-    B_MAX,
     NUM_OPERATORS,
     OPERATOR_NAMES,
     PNASNET_5_KEY,
@@ -17,13 +17,13 @@ from pnas.cells import (
     cell_key,
     count_space,
     enumerate_blocks,
-    expand_cell,
     is_canonical,
     one_block_cells,
     parse_cell_key,
     random_cell,
     validate_cell,
 )
+from pnas.search import score_children
 
 from conftest import canonical_cells, raw_cells
 
@@ -100,38 +100,26 @@ def test_canonical_blocks_are_sorted_unique():
         assert all(is_canonical((blk,)) for blk in blocks)
 
 
-@given(canonical_cells(max_blocks=3))
-def test_expand_cell_children(cell):
-    children = expand_cell(cell)
-    b = len(cell)
-    assert len(children) == len(canonical_blocks(b + 1))
-    assert len(set(children)) == len(children)
-    for child in children:
-        assert len(child) == b + 1
-        assert child[:b] == cell
-        assert is_canonical(child)
+class CapturingSurrogate:
+    """Records every child it is asked to score."""
+
+    def __init__(self):
+        self.children = []
+
+    def predict(self, cells):
+        self.children.extend(cells.tolist())
+        return np.zeros(len(cells))
 
 
 def test_expansion_never_collides_across_parents():
-    # every two-block canonical cell has exactly one one-block parent,
-    # so expanding all 136 parents yields 136 * 300 distinct cells
-    level2 = set()
-    for parent in one_block_cells():
-        level2.update(cell_key(c) for c in expand_cell(parent))
-    assert len(level2) == 136 * 300
-
-
-def test_expand_rejects_non_canonical():
-    twisted = (BlockSpec(1, 0, 6, 4),)
-    assert not is_canonical(twisted)
-    with pytest.raises(ValueError):
-        expand_cell(twisted)
-
-
-def test_expand_rejects_beyond_max():
-    cell = tuple(BlockSpec(0, 0, 0, 0) for _ in range(B_MAX))
-    with pytest.raises(ValueError):
-        expand_cell(cell)
+    # every two-block canonical cell has exactly one one-block parent, so
+    # the search's expansion of all 136 parents yields 136 * 300 distinct cells
+    surrogate = CapturingSurrogate()
+    parents = np.asarray(one_block_cells())
+    score_children(surrogate, parents, np.asarray(canonical_blocks(2)), chunk_size=1000)
+    keys = {cell_key(child) for child in surrogate.children}
+    assert len(surrogate.children) == len(keys) == 136 * 300
+    assert all(is_canonical(child) for child in surrogate.children)
 
 
 @given(canonical_cells())

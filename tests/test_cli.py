@@ -228,6 +228,11 @@ def test_config_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "search", "--config", str(tmp_path / "nope.cfg"), "--dry-run")
     assert code == 1 and "cannot read config file" in err
 
+    bad_backend = tmp_path / "bad4.cfg"
+    bad_backend.write_text("evaluator=slurm\n")
+    code, _, err = run(capsys, "search", "--config", str(bad_backend), "--dry-run")
+    assert code == 1 and "evaluator must be one of" in err
+
 
 def test_load_config_file_strips_comments(tmp_path):
     cfg = tmp_path / "c.cfg"

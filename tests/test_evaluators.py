@@ -1,6 +1,8 @@
 """Synthetic, tabular, and subprocess evaluation backends."""
 
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +252,22 @@ def test_external_malformed_line_raises():
     worker = inline_worker("print('not json at all')")
     with pytest.raises(WorkerProtocolError, match="non-JSON line"):
         ExternalEvaluator(worker).evaluate(make_request())
+
+
+def test_external_protocol_error_kills_a_live_worker(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    worker = inline_worker(
+        "import os, pathlib, time\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+        "print('garbage', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    started = time.monotonic()
+    with pytest.raises(WorkerProtocolError, match="non-JSON line"):
+        ExternalEvaluator(worker).evaluate(make_request())
+    assert time.monotonic() - started < 10
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)  # killed and reaped
 
 
 def test_external_unknown_id_raises():

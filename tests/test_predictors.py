@@ -1,6 +1,4 @@
-"""Surrogate predictors: encoding, training, ensembling, checkpoints."""
-
-import json
+"""Surrogate predictors: encoding, training, ensembling."""
 
 import numpy as np
 import pytest
@@ -19,9 +17,7 @@ from pnas.predictors import (
     ensemble_fit,
     ensemble_folds,
     gradient_check,
-    load_checkpoint,
     new_predictor,
-    save_checkpoint,
     snapshot_id,
 )
 
@@ -398,39 +394,3 @@ def test_gradient_check_kink_guard():
     prob = float(model.predict([cell])[0])
     with pytest.raises(ValueError, match="kink"):
         gradient_check(model, cell, prob)
-
-
-@pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_checkpoint_round_trip(kind, tmp_path):
-    cells, accs = train_batch(n=10)
-    model = new_predictor(small_config(kind))
-    model.fit(cells, accs, level=1)
-    path = tmp_path / "model.npz"
-    save_checkpoint(model, str(path))
-    loaded = load_checkpoint(str(path))
-    assert snapshot_id(loaded) == snapshot_id(model)
-    assert np.array_equal(loaded.predict(cells), model.predict(cells))
-
-
-def test_ensemble_checkpoint_round_trip(tmp_path):
-    cells, accs = train_batch(n=8)
-    ens = ensemble_fit(cells, accs, small_config("rnn"), level=1)
-    path = tmp_path / "ens.npz"
-    save_checkpoint(ens, str(path))
-    loaded = load_checkpoint(str(path))
-    assert isinstance(loaded, Ensemble)
-    assert snapshot_id(loaded) == snapshot_id(ens)
-    assert np.array_equal(loaded.predict(cells), ens.predict(cells))
-
-
-def test_checkpoint_version_mismatch(tmp_path):
-    model = new_predictor(small_config("mlp"))
-    path = tmp_path / "model.npz"
-    save_checkpoint(model, str(path))
-    with np.load(str(path)) as data:
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        meta = json.loads(str(data["__meta__"]))
-    meta["format_version"] = 99
-    np.savez(str(path), __meta__=np.array(json.dumps(meta)), **arrays)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
-        load_checkpoint(str(path))

@@ -83,8 +83,6 @@ def test_config_validation():
         SearchConfig(beam_size=0)
     with pytest.raises(ValueError, match="predictor"):
         SearchConfig(predictor="oracle")
-    with pytest.raises(ValueError, match="evaluator"):
-        SearchConfig(evaluator="slurm")
     assert SearchConfig().examples_per_model == 900_000
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from pnas.traceio import (
     TraceWriter,
-    eval_accuracies,
     read_trace,
     write_json,
     write_summary_csv,
@@ -41,21 +40,23 @@ def test_read_trace_rejects_bad_line(tmp_path):
         read_trace(str(path))
 
 
+def test_read_trace_drops_torn_last_line(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"ok":1}\n{"ok":')  # a crash mid-write
+    assert read_trace(str(path)) == [{"ok": 1}]
+
+
+def test_read_trace_rejects_bad_earlier_line(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('not json\n{"ok":1}')
+    with pytest.raises(ValueError, match="trace.jsonl:1: not valid JSON"):
+        read_trace(str(path))
+
+
 def test_read_trace_skips_blank_lines(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text('\n{"ok":1}\n\n')
     assert read_trace(str(path)) == [{"ok": 1}]
-
-
-def test_eval_accuracies_filters_failures():
-    events = [
-        {"event": "eval", "value": 0.5},
-        {"event": "fit", "value": "snapshot"},
-        {"event": "eval", "value": None, "error": "diverged"},
-        {"event": "eval", "value": 0.7},
-        {"event": "select", "value": 1},
-    ]
-    assert eval_accuracies(events) == [0.5, 0.7]
 
 
 def test_summary_csv_unions_late_columns(tmp_path):
