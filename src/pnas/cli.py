@@ -33,7 +33,7 @@ from .evaluators import (
     TabularEvaluator,
 )
 from .harness import HarnessConfig, predictor_harness
-from .network import BuildError, StackPlan, build_network, export_graph
+from .network import STEM_KINDS, BuildError, StackPlan, build_network, export_graph
 from .search import (
     PREDICTOR_KINDS,
     SearchConfig,
@@ -365,17 +365,16 @@ def cmd_harness(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    blocks = args.blocks if args.blocks is not None else 5
     try:
-        size = count_space(blocks)
+        size = count_space(args.blocks)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for b in range(1, blocks + 1):
+    for b in range(1, args.blocks + 1):
         print(f"level {b}: raw_blocks {len(enumerate_blocks(b))} unique_blocks {len(canonical_blocks(b))}")
     print(f"space_raw {size.raw}")
     print(f"space_unique {size.unique}")
     if args.beam_size is not None:
-        budget = plan_budget(blocks, args.beam_size)
+        budget = plan_budget(args.blocks, args.beam_size)
         print("budget_per_level " + " ".join(str(part) for part in budget))
         print(f"m1 {sum(budget)}")
     return 0
@@ -385,11 +384,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     cell = parse_cell_key(args.cell)
     try:
         plan = StackPlan(
-            n=args.cell_repeats if args.cell_repeats is not None else 2,
-            f=args.filters if args.filters is not None else 24,
-            input_hw=args.hw if args.hw is not None else 32,
-            stem=args.stem if args.stem is not None else "none",
-            num_classes=args.classes if args.classes is not None else 10,
+            n=args.cell_repeats, f=args.filters, input_hw=args.hw, stem=args.stem, num_classes=args.classes
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -398,14 +393,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     except BuildError as exc:
         raise ConfigError(str(exc)) from None
     payload = export_graph(graph, cell_key=args.cell, plan=plan)
-    out = args.out if args.out is not None else "graph.json"
     try:
-        write_json(out, payload)
+        write_json(args.out, payload)
     except OSError as exc:
-        raise ConfigError(f"cannot write graph JSON to {out}: {exc}") from None
+        raise ConfigError(f"cannot write graph JSON to {args.out}: {exc}") from None
     print(f"params {payload['params']}")
     print(f"mult_adds {payload['mult_adds']}")
-    print(f"out {out}")
+    print(f"out {args.out}")
     return 0
 
 
@@ -448,18 +442,19 @@ def build_parser() -> _Parser:
     harness.set_defaults(func=cmd_harness)
 
     count = sub.add_parser("count", help="search-space sizes")
-    count.add_argument("-B", "--blocks", type=int, default=None)
+    count.add_argument("-B", "--blocks", type=int, default=5)
     count.add_argument("-K", "--beam-size", dest="beam_size", type=int, default=None, help="also print the budget plan")
     count.set_defaults(func=cmd_count)
 
     build = sub.add_parser("build", help="build one network and export its graph")
     build.add_argument("--cell", required=True, help="cell key, e.g. 1|0,4,1,4")
-    build.add_argument("-N", "--cell-repeats", dest="cell_repeats", type=int, default=None)
-    build.add_argument("-F", "--filters", type=int, default=None)
-    build.add_argument("--hw", type=int, default=None, help="input height and width")
-    build.add_argument("--stem", choices=("none", "conv3x3_stride2"), default=None)
-    build.add_argument("--classes", type=int, default=None)
-    build.add_argument("--out", default=None, help="graph JSON path")
+    plan = StackPlan()
+    build.add_argument("-N", "--cell-repeats", dest="cell_repeats", type=int, default=plan.n)
+    build.add_argument("-F", "--filters", type=int, default=plan.f)
+    build.add_argument("--hw", type=int, default=plan.input_hw, help="input height and width")
+    build.add_argument("--stem", choices=STEM_KINDS, default=plan.stem)
+    build.add_argument("--classes", type=int, default=plan.num_classes)
+    build.add_argument("--out", default="graph.json", help="graph JSON path")
     build.set_defaults(func=cmd_build)
     return parser
 

@@ -1,9 +1,11 @@
 """Pluggable cell evaluators: synthetic oracle, tabular lookup, external worker.
 
 Every backend maps an EvalRequest to one EvalRecord per requested cell,
-sorted by cell key. Records are pure functions of (request, backend
-configuration): repeated calls reproduce identical accuracies, which is
-what makes traces replayable and backends interchangeable.
+in request order, so a caller pairs each cell it sent with its record by
+position; a cell requested twice gets two equal records. Records are pure
+functions of (request, backend configuration): repeated calls reproduce
+identical accuracies, which is what makes traces replayable and backends
+interchangeable.
 
 The external backend speaks line-delimited JSON over a worker subprocess's
 stdin/stdout:
@@ -81,8 +83,6 @@ class EvalRecord:
     cell_key: str
     accuracy: float | None
     seed: int
-    epochs: int
-    backend: str
     error: str | None = None
 
     def __post_init__(self) -> None:
@@ -149,8 +149,6 @@ class SyntheticOracle:
     so any two processes agree on every accuracy.
     """
 
-    backend_name = "synthetic"
-
     def __init__(self, config: SyntheticOracleConfig | None = None) -> None:
         self.config = config or SyntheticOracleConfig()
         self._weights = np.concatenate(
@@ -175,18 +173,8 @@ class SyntheticOracle:
         return float(np.clip(self.score(cell) + self.noise(key, seed), 0.0, 1.0))
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        records = []
-        for cell in sorted(request.cells, key=cell_key):
-            records.append(
-                EvalRecord(
-                    cell_key=cell_key(cell),
-                    accuracy=self.noisy_accuracy(cell, request.seed),
-                    seed=request.seed,
-                    epochs=request.epochs,
-                    backend=self.backend_name,
-                )
-            )
-        return records
+        seed = request.seed
+        return [EvalRecord(cell_key(cell), self.noisy_accuracy(cell, seed), seed) for cell in request.cells]
 
 
 TABLE_HEADER = ("cell_key", "seed", "accuracy")
@@ -200,8 +188,6 @@ class TabularEvaluator:
     against a dump of its own records reproduces it exactly.
     """
 
-    backend_name = "tabular"
-
     def __init__(self, rows: dict[str, list[tuple[int, float]]]) -> None:
         if not rows:
             raise TableParseError("benchmark table is empty")
@@ -210,15 +196,17 @@ class TabularEvaluator:
     @classmethod
     def from_csv(cls, path: str) -> "TabularEvaluator":
         rows: dict[str, list[tuple[int, float]]] = {}
+        header_seen = False
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 fields = line.split(",")
-                if lineno == 1:
+                if not header_seen:
                     if tuple(fields) != TABLE_HEADER:
                         raise TableParseError(f"{path}:{lineno}: missing {','.join(TABLE_HEADER)} header")
+                    header_seen = True
                     continue
                 # a key contains commas, so split from the right: last two
                 # fields are seed and accuracy, the rest is the key
@@ -237,27 +225,15 @@ class TabularEvaluator:
         return cls(rows)
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        keys = sorted(cell_key(cell) for cell in request.cells)
-        missing = [k for k in keys if k not in self.rows]
+        keys = [cell_key(cell) for cell in request.cells]
+        missing = [k for k in dict.fromkeys(keys) if k not in self.rows]
         if missing:
             raise TableLookupError(
                 f"benchmark table has no entry for cell {missing[0]!r}"
                 + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
             )
-        records = []
-        for key in keys:
-            stored = self.rows[key]
-            _, acc = stored[request.seed % len(stored)]
-            records.append(
-                EvalRecord(
-                    cell_key=key,
-                    accuracy=acc,
-                    seed=request.seed,
-                    epochs=request.epochs,
-                    backend=self.backend_name,
-                )
-            )
-        return records
+        seed = request.seed
+        return [EvalRecord(key, self.rows[key][seed % len(self.rows[key])][1], seed) for key in keys]
 
 
 def write_table(path: str, records: list[EvalRecord]) -> int:
@@ -280,8 +256,6 @@ def write_table(path: str, records: list[EvalRecord]) -> int:
 class ExternalEvaluator:
     """Delegates evaluation to a worker subprocess via line-delimited JSON."""
 
-    backend_name = "external"
-
     def __init__(self, worker_cmd: list[str], retries: int = 2) -> None:
         if not worker_cmd:
             raise ValueError("worker command must be non-empty")
@@ -291,7 +265,7 @@ class ExternalEvaluator:
         self.retries = retries
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        keys = sorted(cell_key(cell) for cell in request.cells)
+        keys = [cell_key(cell) for cell in request.cells]
         pending: dict[int, str] = dict(enumerate(keys))
         answers: dict[int, EvalRecord] = {}
         attempts = 0
@@ -319,7 +293,7 @@ class ExternalEvaluator:
                 },
                 sort_keys=True,
             )
-            for rid, key in sorted(pending.items())
+            for rid, key in pending.items()
         ]
         lines.append(json.dumps({"done": True}))
         try:
@@ -361,17 +335,16 @@ class ExternalEvaluator:
                     raise WorkerProtocolError(f"worker answered unknown or duplicate id {rid}: {raw!r}")
                 key = pending.pop(rid)
                 if "error" in msg:
-                    answers[rid] = self._record(key, request, None, str(msg["error"]))
+                    answers[rid] = EvalRecord(key, None, request.seed, str(msg["error"]))
                     continue
                 acc = msg.get("accuracy")
                 if not isinstance(acc, (int, float)) or isinstance(acc, bool):
                     raise WorkerProtocolError(f"worker accuracy is not a number: {raw!r}")
-                if not 0.0 <= float(acc) <= 1.0:
-                    answers[rid] = self._record(
-                        key, request, None, f"accuracy {float(acc)!r} outside [0, 1]"
-                    )
+                acc = float(acc)
+                if 0.0 <= acc <= 1.0:
+                    answers[rid] = EvalRecord(key, acc, request.seed)
                 else:
-                    answers[rid] = self._record(key, request, float(acc), None)
+                    answers[rid] = EvalRecord(key, None, request.seed, f"accuracy {acc!r} outside [0, 1]")
         except BaseException:
             proc.kill()  # a worker still alive would block the wait below forever
             raise
@@ -382,13 +355,3 @@ class ExternalEvaluator:
             except OSError:
                 pass
             proc.wait()
-
-    def _record(self, key: str, request: EvalRequest, acc: float | None, error: str | None) -> EvalRecord:
-        return EvalRecord(
-            cell_key=key,
-            accuracy=acc,
-            seed=request.seed,
-            epochs=request.epochs,
-            backend=self.backend_name,
-            error=error,
-        )

@@ -98,11 +98,11 @@ def distinct_random_cells(count: int, b: int, seed: int) -> list[CellSpec]:
 
 def _measure(evaluator, cells, config: HarnessConfig, eval_seed: int) -> np.ndarray:
     request = EvalRequest(cells=tuple(cells), epochs=config.epochs, plan=StackPlan(), seed=eval_seed)
-    by_key = {rec.cell_key: rec.accuracy for rec in evaluator.evaluate(request)}
-    missing = [key for cell in cells if (key := cell_key(cell)) not in by_key or by_key[key] is None]
-    if missing:
-        raise ValueError(f"harness pools need every cell measured; {missing[0]!r} failed")
-    return np.asarray([by_key[cell_key(cell)] for cell in cells])
+    records = evaluator.evaluate(request)
+    for rec in records:
+        if not rec.ok:
+            raise ValueError(f"harness pools need every cell measured; {rec.cell_key!r} failed")
+    return np.asarray([rec.accuracy for rec in records])
 
 
 def predictor_harness(config: HarnessConfig, evaluator, base: PredictorConfig | None = None) -> CorrelationReport:

@@ -18,9 +18,13 @@ therefore exactly the one a full sort by (-predicted, key) gives.
 Because canonicalization acts inside a block and never reorders blocks,
 two distinct canonical parents can never expand to the same child, so
 per-parent deduplication (restricting to canonical blocks) is exhaustive.
-The expansion still reports the raw candidate count (every operator and
-input combination before within-block ordering) next to the deduplicated
-one.
+Each level's ``expand`` event reports the raw candidate count
+(every operator and input combination before within-block ordering) next
+to the deduplicated one.
+
+Evaluators answer in request order, so each measured accuracy is paired
+with the cell that was sent for it, and that pair is what the surrogate
+trains on.
 
 A trace writer, when given, receives one JSON-serializable dict per
 event; events carry no wall-clock fields, so equal configurations
@@ -43,7 +47,6 @@ from .cells import (
     canonical_blocks,
     cell_key,
     one_block_cells,
-    parse_cell_key,
     random_cell,
     validate_cell_array,
 )
@@ -91,7 +94,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class LevelResult:
-    """Evaluated candidate set of one level, ordered by cell key."""
+    """Evaluated candidate set of one level, in evaluation order.
+
+    A progressive level is ordered by cell key; a random-search level keeps
+    sample order.
+    """
 
     level: int
     keys: tuple[str, ...]
@@ -111,14 +118,11 @@ class LevelResult:
 class SearchTrace:
     levels: tuple[LevelResult, ...]
     records: tuple[EvalRecord, ...]
-    m1: int
-    e1: int
-    raw_candidates: tuple[int, ...] = ()
-    unique_candidates: tuple[int, ...] = ()
 
     @property
-    def cost(self) -> int:
-        return compute_cost(self.m1, self.e1)
+    def m1(self) -> int:
+        """Models evaluated, failed ones included."""
+        return len(self.records)
 
     def best(self) -> tuple[str, float]:
         """Best measured cell of the final level."""
@@ -298,19 +302,17 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
     train_accs: list[float] = []
     all_records: list[EvalRecord] = []
     levels: list[LevelResult] = []
-    raw_counts: list[int] = []
-    unique_counts: list[int] = []
 
-    def absorb(records: list[EvalRecord]) -> None:
+    def absorb(cells: list[CellSpec], records: list[EvalRecord]) -> None:
         # failed evaluations keep their budget slot but never train the surrogate
         all_records.extend(records)
-        for rec in records:
+        for cell, rec in zip(cells, records):
             if rec.ok:
-                train_cells.append(parse_cell_key(rec.cell_key))
+                train_cells.append(cell)
                 train_accs.append(rec.accuracy)
 
     records = _evaluate(evaluator, beam, 1, config.epochs, plan, eval_seed, writer)
-    absorb(records)
+    absorb(beam, records)
     _check_some_succeeded(records, 1)
     snapshot = surrogate.update(train_cells, np.asarray(train_accs), 1)
     _emit(writer, event="fit", level=1, cell_key=None, value=snapshot, seed=predictor_seed)
@@ -318,14 +320,12 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
 
     for b in range(2, config.b_max + 1):
         blocks = canonical_blocks(b)
-        raw_counts.append(len(beam) * (b + 1) * (b + 1) * 64)
-        unique_counts.append(len(beam) * len(blocks))
         _emit(
             writer,
             event="expand",
             level=b,
             cell_key=None,
-            value={"raw": raw_counts[-1], "unique": unique_counts[-1]},
+            value={"raw": len(beam) * (b + 1) * (b + 1) * 64, "unique": len(beam) * len(blocks)},
             seed=config.seed,
         )
 
@@ -340,20 +340,13 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
 
         beam = sorted((cell for _, _, cell in best), key=cell_key)
         records = _evaluate(evaluator, beam, b, config.epochs, plan, eval_seed, writer)
-        absorb(records)
+        absorb(beam, records)
         _check_some_succeeded(records, b)
         snapshot = surrogate.update(train_cells, np.asarray(train_accs), b)
         _emit(writer, event="fit", level=b, cell_key=None, value=snapshot, seed=predictor_seed)
         levels.append(_level_result(b, records, predicted))
 
-    return SearchTrace(
-        levels=tuple(levels),
-        records=tuple(all_records),
-        m1=sum(len(lv.keys) for lv in levels),
-        e1=config.examples_per_model,
-        raw_candidates=tuple(raw_counts),
-        unique_candidates=tuple(unique_counts),
-    )
+    return SearchTrace(levels=tuple(levels), records=tuple(all_records))
 
 
 def random_search(
@@ -384,9 +377,4 @@ def random_search(
         cell = random_cell(b_max, rng)
         records.extend(_evaluate(evaluator, [cell], b_max, epochs, plan, eval_seed, writer))
     _check_some_succeeded(records, b_max)
-    return SearchTrace(
-        levels=(_level_result(b_max, records, None),),
-        records=tuple(records),
-        m1=count,
-        e1=epochs * EXAMPLES_PER_EPOCH,
-    )
+    return SearchTrace(levels=(_level_result(b_max, records, None),), records=tuple(records))

@@ -47,16 +47,16 @@ def test_request_validation():
 
 
 def test_record_validation():
-    rec = EvalRecord("1|0,4,1,4", 0.5, seed=0, epochs=20, backend="synthetic")
+    rec = EvalRecord("1|0,4,1,4", 0.5, seed=0)
     assert rec.ok
-    failed = EvalRecord("1|0,4,1,4", None, 0, 20, "synthetic", error="diverged")
+    failed = EvalRecord("1|0,4,1,4", None, 0, error="diverged")
     assert not failed.ok
     with pytest.raises(ValueError, match="outside"):
-        EvalRecord("1|0,4,1,4", 1.5, 0, 20, "synthetic")
+        EvalRecord("1|0,4,1,4", 1.5, 0)
     with pytest.raises(ValueError, match="outside"):
-        EvalRecord("1|0,4,1,4", None, 0, 20, "synthetic")
+        EvalRecord("1|0,4,1,4", None, 0)
     with pytest.raises(ValueError, match="cannot carry"):
-        EvalRecord("1|0,4,1,4", 0.5, 0, 20, "synthetic", error="diverged")
+        EvalRecord("1|0,4,1,4", 0.5, 0, error="diverged")
 
 
 def test_cell_features_hand_case():
@@ -82,14 +82,14 @@ def test_oracle_noise_depends_on_seed_and_cell():
 def test_oracle_deterministic_across_instances():
     a = SyntheticOracle().evaluate(make_request(seed=9))
     b = SyntheticOracle().evaluate(make_request(seed=9))
-    strip = lambda recs: [(r.cell_key, r.accuracy, r.seed, r.epochs, r.backend) for r in recs]
+    strip = lambda recs: [(r.cell_key, r.accuracy, r.seed) for r in recs]
     assert strip(a) == strip(b)
 
 
-def test_oracle_records_sorted_by_key():
+def test_oracle_records_in_request_order():
     records = SyntheticOracle().evaluate(make_request())
     keys = [r.cell_key for r in records]
-    assert keys == sorted(keys)
+    assert keys == [cell_key(c) for c in CELLS] != sorted(keys)
     assert all(r.ok and 0.0 <= r.accuracy <= 1.0 for r in records)
 
 
@@ -128,7 +128,6 @@ def test_tabular_round_trip(tmp_path):
     assert [(r.cell_key, r.accuracy) for r in got] == [
         (r.cell_key, r.accuracy) for r in want
     ]
-    assert all(r.backend == "tabular" for r in got)
 
 
 def test_tabular_seed_indexes_stored_rows(tmp_path):
@@ -148,7 +147,7 @@ def test_tabular_missing_cell_is_atomic(tmp_path):
 
 
 def test_write_table_dedups_and_sorts(tmp_path):
-    rec = lambda key, seed, acc: EvalRecord(key, acc, seed, 20, "synthetic")
+    rec = lambda key, seed, acc: EvalRecord(key, acc, seed)
     path = tmp_path / "t.csv"
     n = write_table(
         str(path),
@@ -156,7 +155,7 @@ def test_write_table_dedups_and_sorts(tmp_path):
             rec("1|0,4,1,4", 0, 0.5),
             rec("1|0,4,1,4", 0, 0.9),  # duplicate (key, seed): first wins
             rec("1|0,0,1,0", 1, 0.7),
-            EvalRecord("1|0,1,1,1", None, 0, 20, "synthetic", error="x"),
+            EvalRecord("1|0,1,1,1", None, 0, error="x"),
         ],
     )
     assert n == 2
@@ -168,6 +167,7 @@ def test_write_table_dedups_and_sorts(tmp_path):
     "body, needle",
     [
         ("oops,header,here\n", "missing cell_key,seed,accuracy header"),
+        ("\n1|0,4,1,4,0,0.5\n", ":2: missing cell_key,seed,accuracy header"),
         ("cell_key,seed,accuracy\nonly,two\n", "expected 3 columns"),
         ("cell_key,seed,accuracy\nbad-key,0,0.5\n", "missing '|' separator"),
         ("cell_key,seed,accuracy\n1|0,4,1,4,0\n", "needs 4 comma-separated fields"),
@@ -186,9 +186,13 @@ def test_tabular_parse_errors(tmp_path, body, needle):
 
 def test_tabular_skips_blank_lines(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("cell_key,seed,accuracy\n\n1|0,4,1,4,0,0.5\n\n")
-    table = TabularEvaluator.from_csv(str(path))
-    assert table.rows["1|0,4,1,4"] == [(0, 0.5)]
+    for body in (
+        "cell_key,seed,accuracy\n\n1|0,4,1,4,0,0.5\n\n",
+        "\ncell_key,seed,accuracy\n1|0,4,1,4,0,0.5\n",  # blank line before the header
+    ):
+        path.write_text(body)
+        table = TabularEvaluator.from_csv(str(path))
+        assert table.rows == {"1|0,4,1,4": [(0, 0.5)]}
 
 
 # --- subprocess backend ---
@@ -205,7 +209,6 @@ def test_external_matches_synthetic():
     assert [(r.cell_key, r.accuracy) for r in got] == [
         (r.cell_key, r.accuracy) for r in want
     ]
-    assert all(r.backend == "external" for r in got)
 
 
 def test_external_accepts_out_of_order_responses():
@@ -217,11 +220,12 @@ def test_external_accepts_out_of_order_responses():
         "    if msg.get('done'): break\n"
         "    reqs.append(msg)\n"
         "for msg in reversed(reqs):\n"
-        "    print(json.dumps({'id': msg['id'], 'accuracy': 0.25}), flush=True)\n"
+        "    print(json.dumps({'id': msg['id'], 'accuracy': int(msg['cell'][-1]) / 10}), flush=True)\n"
     )
     records = ExternalEvaluator(worker).evaluate(make_request())
-    assert [r.cell_key for r in records] == sorted(cell_key(c) for c in CELLS)
-    assert all(r.accuracy == 0.25 for r in records)
+    assert [(r.cell_key, r.accuracy) for r in records] == [
+        (cell_key(c), int(cell_key(c)[-1]) / 10) for c in CELLS
+    ]
 
 
 def test_external_error_response_becomes_record():
@@ -296,9 +300,27 @@ def test_external_respawns_after_partial_crash():
     )
     got = ext.evaluate(make_request(seed=0))
     oracle = SyntheticOracle(SyntheticOracleConfig(noise_sigma=0.0))
-    assert [(r.cell_key, r.accuracy) for r in got] == [
-        (cell_key(c), oracle.score(c)) for c in sorted(CELLS, key=cell_key)
-    ]
+    assert [(r.cell_key, r.accuracy) for r in got] == [(cell_key(c), oracle.score(c)) for c in CELLS]
+
+
+DUPLICATE_KEYS = ["1|0,4,1,4", "1|0,1,0,6", "1|0,4,1,4"]
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "tabular", "external"])
+def test_records_follow_request_order_with_a_repeated_cell(tmp_path, backend):
+    request = make_request(cells=[parse_cell_key(key) for key in DUPLICATE_KEYS], seed=3)
+    if backend == "synthetic":
+        evaluator = SyntheticOracle()
+    elif backend == "tabular":
+        evaluator = TabularEvaluator.from_csv(str(oracle_table(tmp_path, seeds=(3,))))
+    else:
+        # the worker dies at every 2nd request, so the repeated key is resent
+        evaluator = ExternalEvaluator([sys.executable, ECHO_WORKER, "--drop-every", "2"])
+    records = evaluator.evaluate(request)
+    assert [r.cell_key for r in records] == DUPLICATE_KEYS
+    assert records[0].accuracy == records[2].accuracy != records[1].accuracy
+    want = SyntheticOracle().evaluate(request)
+    assert [r.accuracy for r in records] == [r.accuracy for r in want]
 
 
 def test_external_persistent_crash_exhausts_retries():

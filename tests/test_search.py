@@ -47,14 +47,7 @@ class FailingEvaluator(SyntheticOracle):
         records = []
         for rec in super().evaluate(request):
             if rec.cell_key in self.fail_keys:
-                rec = EvalRecord(
-                    cell_key=rec.cell_key,
-                    accuracy=None,
-                    seed=rec.seed,
-                    epochs=rec.epochs,
-                    backend=rec.backend,
-                    error="diverged",
-                )
+                rec = EvalRecord(rec.cell_key, None, rec.seed, error="diverged")
             records.append(rec)
         return records
 
@@ -216,9 +209,7 @@ def test_search_trace_shape_and_budget():
 
     assert [len(lv.keys) for lv in trace.levels] == plan_budget(3, 16)
     assert trace.m1 == sum(plan_budget(3, 16)) == len(trace.records)
-    assert trace.cost == trace.m1 * 900_000
-    assert trace.raw_candidates == (136 * 576, 16 * 1024)
-    assert trace.unique_candidates == (136 * 300, 16 * 528)
+    assert compute_cost(trace.m1, config.examples_per_model) == trace.m1 * 900_000
     for lv in trace.levels:
         assert list(lv.keys) == sorted(lv.keys)
         assert all(key.startswith(f"{lv.level}|") for key in lv.keys)
@@ -237,6 +228,10 @@ def test_search_trace_shape_and_budget():
     assert all(ev["seed"] == eval_seed for ev in writer.events if ev["event"] == "eval")
     ranks = [ev["value"] for ev in writer.events if ev["event"] == "select"]
     assert ranks == list(range(1, 17)) * 2
+    assert [ev["value"] for ev in writer.events if ev["event"] == "expand"] == [
+        {"raw": 136 * 576, "unique": 136 * 300},
+        {"raw": 16 * 1024, "unique": 16 * 528},
+    ]
 
 
 def test_search_is_deterministic():
@@ -297,7 +292,6 @@ def test_random_search_basics():
     trace = random_search(25, 3, SyntheticOracle(), seed=11, writer=writer)
     assert trace.m1 == 25
     assert len(trace.records) == 25
-    assert trace.e1 == 900_000
     assert all(len(ev) for ev in writer.events)
     assert [ev["event"] for ev in writer.events] == ["eval"] * 25
     again = random_search(25, 3, SyntheticOracle(), seed=11)
