@@ -331,6 +331,8 @@ class ExternalEvaluator:
                 if not isinstance(msg, dict) or "id" not in msg:
                     raise WorkerProtocolError(f"worker response lacks an id: {raw!r}")
                 rid = msg["id"]
+                if type(rid) is not int:
+                    raise WorkerProtocolError(f"worker response id is not an integer: {raw!r}")
                 if rid not in pending:
                     raise WorkerProtocolError(f"worker answered unknown or duplicate id {rid}: {raw!r}")
                 key = pending.pop(rid)

@@ -24,7 +24,8 @@ to the deduplicated one.
 
 Evaluators answer in request order, so each measured accuracy is paired
 with the cell that was sent for it, and that pair is what the surrogate
-trains on.
+trains on. Each level is sent as one evaluation request, and so is the
+random baseline's whole set of draws.
 
 A trace writer, when given, receives one JSON-serializable dict per
 event; events carry no wall-clock fields, so equal configurations
@@ -362,8 +363,9 @@ def random_search(
     """Uniformly sample `count` cells of exactly b_max blocks and evaluate all.
 
     Cells are drawn block by block over the raw space and canonicalized, so
-    duplicates can occur, exactly like independent uniform draws. Records
-    stay in sample order so running top-M statistics read off the trace.
+    duplicates can occur, exactly like independent uniform draws. All draws
+    are sent as one evaluation request, and records stay in sample order so
+    running top-M statistics read off the trace.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -372,9 +374,7 @@ def random_search(
     plan = StackPlan(n=cell_repeats, f=filters)
     rng = np.random.default_rng(derive_seed(seed, "random-search"))
     eval_seed = derive_seed(seed, "eval")
-    records: list[EvalRecord] = []
-    for _ in range(count):
-        cell = random_cell(b_max, rng)
-        records.extend(_evaluate(evaluator, [cell], b_max, epochs, plan, eval_seed, writer))
+    cells = [random_cell(b_max, rng) for _ in range(count)]
+    records = _evaluate(evaluator, cells, b_max, epochs, plan, eval_seed, writer)
     _check_some_succeeded(records, b_max)
     return SearchTrace(levels=(_level_result(b_max, records, None),), records=tuple(records))

@@ -311,6 +311,16 @@ def test_external_backend_crash_exits_2(tmp_path, capsys):
     assert "unanswered" in err
 
 
+def test_external_protocol_error_exits_2(tmp_path, capsys):
+    worker = f"{sys.executable} -c \"import json; print(json.dumps({{'id': [0], 'accuracy': 0.5}}))\""
+    code, _, err = run(
+        capsys, "search", "-B", "1", "--evaluator", "external",
+        "--worker-cmd", worker, "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert "id is not an integer" in err
+
+
 ERROR_WORKER = """\
 import json, sys
 for line in sys.stdin:
@@ -428,6 +438,19 @@ def test_console_script_smoke(tmp_path):
     assert version.returncode == 0
     assert version.stdout.strip().startswith("pnas ")
     assert version.stderr == ""
+
+
+def test_evaluator_imports_stay_light():
+    # An external worker imports cells and evaluators; the package must not
+    # pull the surrogate, search or CLI modules in behind them.
+    env = dict(os.environ)
+    src = str(Path(pnas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import pnas.cells, pnas.evaluators, sys; print(pnas.__version__, *sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    version, *modules = result.stdout.split()
+    assert version == "0.1.0"
+    assert not {"pnas.predictors", "pnas.search", "pnas.harness", "pnas.cli"} & set(modules)
 
 
 def test_console_script_entry_point_is_cli_main():

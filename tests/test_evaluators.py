@@ -280,6 +280,14 @@ def test_external_unknown_id_raises():
         ExternalEvaluator(worker).evaluate(make_request())
 
 
+@pytest.mark.parametrize("bad_id", ["[1]", "True", "1.0"])
+def test_external_non_integer_id_raises(bad_id):
+    # id 1 is pending, so an id that merely equals it must still be refused
+    worker = inline_worker(f"import json; print(json.dumps({{'id': {bad_id}, 'accuracy': 0.5}}))")
+    with pytest.raises(WorkerProtocolError, match="id is not an integer"):
+        ExternalEvaluator(worker).evaluate(make_request())
+
+
 def test_external_non_numeric_accuracy_raises():
     worker = inline_worker(
         "import json, sys\n"

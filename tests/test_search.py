@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnas.cells import canonical_blocks, cell_key, one_block_cells
+from pnas.cells import canonical_blocks, cell_key, one_block_cells, random_cell
 from pnas.evaluators import (
     EvalRecord,
     EvaluatorError,
@@ -308,6 +308,29 @@ def test_random_search_keeps_sample_order():
     keys = [r.cell_key for r in trace.records]
     assert keys != sorted(keys)  # order reflects sampling, not sorting
     assert all(key.startswith("2|") for key in keys)
+
+
+class RecordingOracle(SyntheticOracle):
+    """Synthetic oracle that keeps every request it answers."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def evaluate(self, request):
+        self.requests.append(request)
+        return super().evaluate(request)
+
+
+def test_random_search_sends_all_draws_as_one_request():
+    oracle, writer = RecordingOracle(), ListWriter()
+    random_search(200, 1, oracle, seed=5, writer=writer)
+    rng = np.random.default_rng(derive_seed(5, "random-search"))
+    drawn = [random_cell(1, rng) for _ in range(200)]
+    assert len(set(drawn)) < 200  # 136 one-block cells, so draws repeat
+    assert len(oracle.requests) == 1
+    assert oracle.requests[0].cells == tuple(drawn)
+    assert [ev["cell_key"] for ev in writer.events] == [cell_key(c) for c in drawn]
 
 
 def test_random_search_validation():
