@@ -94,29 +94,72 @@ def _merge(defaults: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
+def _take_lock(lock_path: str) -> bool:
+    """Create `lock_path` holding this process's pid; False if it already exists."""
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+    os.close(fd)
+    return True
+
+
+def _names_dead_pid(lock_path: str) -> bool:
+    """Whether the lock holds the pid of a process that no longer exists.
+
+    An empty or unparsable lock does not: its run may be between creating
+    and writing it.
+    """
+    try:
+        with open(lock_path, "rb") as fh:
+            pid = int(fh.read())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass
+    return False
+
+
+def _reclaim_dead_lock(lock_path: str) -> bool:
+    """Replace a lock whose pid is dead with one holding this pid; False if the lock stays.
+
+    Reclaiming runs exclude each other with a second lock, and read the pid
+    under it, so none removes a lock that another has just taken.
+    """
+    guard = lock_path + ".reclaim"
+    if not _take_lock(guard):
+        return False
+    try:
+        if not _names_dead_pid(lock_path):
+            return False
+        os.unlink(lock_path)
+        return _take_lock(lock_path)
+    finally:
+        os.unlink(guard)
+
+
 @contextmanager
 def _run_dir(path: str, manifest: dict):
     """Create and lock the run directory, and keep its manifest's status current.
 
-    The manifest is written as ``running`` on entry and rewritten as
-    ``completed``, or as ``failed`` before the exception propagates. The
-    lock is released either way. Yields a function that joins names onto
-    the directory.
+    A lock left by a run whose process is dead is reclaimed. The manifest
+    is written as ``running`` on entry and rewritten as ``completed``, or
+    as ``failed`` before the exception propagates. The lock is released
+    either way. Yields a function that joins names onto the directory.
     """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create run directory {path}: {exc}") from None
     lock_path = os.path.join(path, ".lock")
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    if not (_take_lock(lock_path) or _reclaim_dead_lock(lock_path)):
         raise ConfigError(
             f"run directory {path!r} is locked by another run"
             f" (remove {lock_path} if that run is dead)"
-        ) from None
-    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-    os.close(fd)
+        )
     manifest_path = os.path.join(path, "manifest.json")
     try:
         manifest.update(started_utc=_utc_now(), finished_utc=None, status="running")

@@ -27,6 +27,16 @@ W0_slot)``, and its backward pass forms ``C_slot.T @ da`` once per slot
 before reaching ``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once,
 not once per epoch, and an ensemble encodes once for all its members.
 
+Averaging also makes cells with equal slot counts score bit-equal, and
+the children of a search collide often (202,336 children but 41,400
+distinct rows over a B=5, K=64 search). So MLP prediction runs the
+forward pass once per distinct row (``MLPPredictor.distinct``): rows are
+keyed on their integer counts as a ``uint8`` void view, ``np.unique``
+returns the distinct rows and the inverse index, and the scores are
+gathered back through it. The key holds the cell length too, since each
+slot's counts sum to it. An ensemble finds the distinct rows once for all
+its members; training still runs on every row.
+
 The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``:
 for each cell length b, the batch rows of the b-block cells and their
 (m, 4b) token ids. Both encoders range-check ids through one helper. The
@@ -145,6 +155,15 @@ def _cell_blocks(cells) -> tuple[np.ndarray, np.ndarray]:
     return lengths, blocks
 
 
+def _slot_counts(cells) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks per cell, (n, SLOT_WIDTH) integer slot counts) of a range-checked batch."""
+    lengths, blocks = _cell_blocks(cells)
+    n = len(lengths)
+    rows = np.repeat(np.arange(n) * SLOT_WIDTH, lengths)
+    counts = np.bincount((rows[:, None] + SLOT_OFFSETS + blocks).ravel(), minlength=n * SLOT_WIDTH)
+    return lengths, counts.reshape(n, SLOT_WIDTH)
+
+
 @dataclass(frozen=True, eq=False)
 class SlotCounts:
     """A batch encoded for the MLP: one row of slot counts per cell.
@@ -254,8 +273,24 @@ class Predictor:
         """Rows `index` of an encoded batch, in that order."""
         raise NotImplementedError
 
-    def predict(self, cells) -> np.ndarray:
+    def distinct(self, cells):
+        """The encoded rows the forward pass runs on, and the index that gathers their scores back to `cells`.
+
+        Here every cell is a row of its own; the MLP scores each distinct row once.
+        """
+        batch = self.encode(cells)
+        return batch, np.arange(len(batch))
+
+    def _scores(self, batch) -> np.ndarray:
+        """Predicted accuracy of each row of an encoded batch."""
         raise NotImplementedError
+
+    def predict(self, cells) -> np.ndarray:
+        """Predicted accuracy of each cell, or of each row of an already encoded batch."""
+        if isinstance(cells, (SlotCounts, TokenBatch)):
+            return self._scores(cells)
+        batch, inverse = self.distinct(cells)
+        return self._scores(batch)[inverse]
 
     def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         raise NotImplementedError
@@ -313,11 +348,19 @@ class MLPPredictor(Predictor):
         """
         if isinstance(cells, SlotCounts):
             return cells
-        lengths, blocks = _cell_blocks(cells)
-        n = len(lengths)
-        rows = np.repeat(np.arange(n) * SLOT_WIDTH, lengths)
-        counts = np.bincount((rows[:, None] + SLOT_OFFSETS + blocks).ravel(), minlength=n * SLOT_WIDTH)
-        return SlotCounts(_FRACTIONS[lengths[:, None], counts.reshape(n, SLOT_WIDTH)])
+        lengths, counts = _slot_counts(cells)
+        return SlotCounts(_FRACTIONS[lengths[:, None], counts])
+
+    def distinct(self, cells) -> tuple[SlotCounts, np.ndarray]:
+        """Slot counts of the distinct rows of a batch, and each cell's row among them.
+
+        Rows are keyed on their integer counts as bytes. A slot's counts sum
+        to the cell length, so cells of different lengths never share a key.
+        """
+        lengths, counts = _slot_counts(cells)
+        keys = counts.astype(np.uint8).view(np.dtype((np.void, SLOT_WIDTH))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return SlotCounts(_FRACTIONS[lengths[first, None], counts[first]]), inverse
 
     @staticmethod
     def take(batch: SlotCounts, index) -> SlotCounts:
@@ -346,8 +389,8 @@ class MLPPredictor(Predictor):
         z = hidden[-1] @ p["w_out"] + p["b_out"][0]
         return _sigmoid(z), hidden
 
-    def predict(self, cells) -> np.ndarray:
-        probs, _ = self._forward(self.encode(cells))
+    def _scores(self, batch: SlotCounts) -> np.ndarray:
+        probs, _ = self._forward(batch)
         return probs
 
     def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
@@ -467,8 +510,7 @@ class RNNPredictor(Predictor):
     def _output(self, h: np.ndarray) -> np.ndarray:
         return _sigmoid(h @ self.params["w_out"] + self.params["b_out"][0])
 
-    def predict(self, cells) -> np.ndarray:
-        batch = self.encode(cells)
+    def _scores(self, batch: TokenBatch) -> np.ndarray:
         projections = self._projections()
         out = np.empty(len(batch))
         for rows, tokens in batch.groups:
@@ -549,8 +591,8 @@ class Ensemble:
             raise ValueError("ensemble members must share one predictor kind")
 
     def predict(self, cells) -> np.ndarray:
-        batch = self.members[0].encode(cells)
-        return np.mean([member.predict(batch) for member in self.members], axis=0)
+        batch, inverse = self.members[0].distinct(cells)
+        return np.mean([member.predict(batch) for member in self.members], axis=0)[inverse]
 
 
 def ensemble_folds(n: int, seed: int) -> list[np.ndarray]:

@@ -10,8 +10,10 @@ Children are never built one tuple at a time. The beam and the canonical
 blocks become integer arrays, and their cross product is scored as
 (n, b, 4) id arrays in chunks of whole parent expansions (one parent per
 chunk when a single expansion is larger than the chunk size), after one
-vectorised range check per chunk. The K-th best score is found with
-``np.partition``; only the children at or above it, exact ties included,
+vectorised range check per chunk. The surrogate receives every child;
+an MLP surrogate runs its forward pass once per distinct slot-count row
+of the chunk and gathers the scores back. The K-th best score is found
+with ``np.partition``; only the children at or above it, exact ties included,
 get a cell key, and those are ordered by (-predicted, key). The beam is
 therefore exactly the one a full sort by (-predicted, key) gives.
 

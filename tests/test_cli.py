@@ -243,12 +243,42 @@ def test_load_config_file_strips_comments(tmp_path):
 def test_locked_run_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text("12345\n")
+    (out_dir / ".lock").write_text(f"{os.getpid()}\n")  # a pid known to be alive
     code, _, err = run(
         capsys, "search", "-B", "2", "-K", "4", "--out", str(out_dir)
     )
     assert code == 1
     assert "locked by another run" in err
+
+
+def test_lock_of_a_dead_run_is_reclaimed(tmp_path, capsys):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)  # reaped, so its pid names no process
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text(f"{child.pid}\n")
+    (out_dir / ".lock.reclaim").write_text("")  # another run is reclaiming it
+    code, _, err = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
+    assert code == 1
+    assert "locked by another run" in err
+    (out_dir / ".lock.reclaim").unlink()
+    code, _, _ = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "completed"
+    assert not (out_dir / ".lock").exists()
+    assert not (out_dir / ".lock.reclaim").exists()
+
+
+def test_empty_lock_is_kept(tmp_path, capsys):
+    # its run may have created the lock and not yet written its pid
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text("")
+    code, _, err = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
+    assert code == 1
+    assert "locked by another run" in err
+    assert (out_dir / ".lock").read_text() == ""
+    assert not (out_dir / ".lock.reclaim").exists()
 
 
 def test_tabular_backend_happy_and_missing(tmp_path, capsys):

@@ -13,6 +13,7 @@ from pnas.predictors import (
     MLPPredictor,
     PredictorConfig,
     RNNPredictor,
+    SlotCounts,
     _sigmoid,
     ensemble_fit,
     ensemble_folds,
@@ -104,6 +105,49 @@ def test_factored_forward_matches_concatenated_embeddings():
         h = np.tanh(h @ p[f"w{layer}"] + p[f"b{layer}"])
     want = 1.0 / (1.0 + np.exp(-(h @ p["w_out"] + p["b_out"][0])))
     assert np.max(np.abs(model.predict(cells + more) - want)) < 1e-12
+
+
+def colliding_cells(rng):
+    """Cells of mixed lengths, each also present repeated and with its blocks permuted.
+
+    Permuted blocks may read blocks that now come later; the MLP checks ids only.
+    """
+    cells = [random_cell(b, rng) for b in (1, 2, 3, 5, 7, 10) for _ in range(4)]
+    cells += [tuple(cell[i] for i in rng.permutation(len(cell))) for cell in cells]
+    cells += cells[::3]
+    pair = random_cell(2, rng)
+    cells += [pair, pair + pair]  # equal fractions, different counts
+    return [cells[i] for i in rng.permutation(len(cells))]
+
+
+def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
+    rng = np.random.default_rng(12)
+    listed = colliding_cells(rng)
+    base = np.asarray([random_cell(4, rng) for _ in range(9)])
+    array = np.concatenate([base, base[:, ::-1], base[rng.permutation(9)], base[:, [2, 0, 3, 1]]])
+    cells, accs = train_batch(n=40, b=3)
+    model = new_predictor(PredictorConfig(kind="mlp", seed=3))
+    model.fit(cells, accs, level=1)
+    ens = ensemble_fit(cells, accs, PredictorConfig(kind="mlp", seed=4), level=1)
+    for batch in (listed, array):
+        rows = SlotCounts(np.hstack(reference_slot_counts(batch)))
+        lengths = np.asarray([len(cell) for cell in batch])
+        n_distinct = len(np.unique(np.rint(rows.matrix * lengths[:, None]), axis=0))
+        assert n_distinct < len(batch)
+        single = model._forward(rows)[0]
+        bagged = np.mean([member._forward(rows)[0] for member in ens.members], axis=0)
+        reached = []  # rows reaching the first layer, per forward pass
+
+        def counted(self, counts, forward=MLPPredictor._forward):
+            reached.append(len(counts))
+            return forward(self, counts)
+
+        monkeypatch.setattr(MLPPredictor, "_forward", counted)
+        assert np.array_equal(model.predict(batch).view(np.int64), single.view(np.int64))
+        assert reached == [n_distinct]
+        assert np.array_equal(ens.predict(batch).view(np.int64), bagged.view(np.int64))
+        assert reached == [n_distinct] * (1 + ENSEMBLE_SIZE)
+        monkeypatch.undo()
 
 
 def masked_sigmoid(z):
