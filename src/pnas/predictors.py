@@ -35,7 +35,10 @@ keyed on their integer counts as a ``uint8`` void view, ``np.unique``
 returns the distinct rows and the inverse index, and the scores are
 gathered back through it. The key holds the cell length too, since each
 slot's counts sum to it. An ensemble finds the distinct rows once for all
-its members; training still runs on every row.
+its members; training still runs on every row. The distinct rows go
+through the forward pass ``SCORE_ROWS`` at a time, so the memory scoring
+takes stays the same however many distinct rows a batch has (that number
+follows the search's seed; a search's peak RSS would follow it too).
 
 The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``:
 for each cell length b, the batch rows of the b-block cells and their
@@ -76,6 +79,7 @@ from .seeding import derive_seed
 INPUT_VOCAB = B_MAX + 1  # input ids 0 .. B_MAX cover blocks of every level
 OP_VOCAB = len(Operator)
 ENSEMBLE_SIZE = 5
+SCORE_ROWS = 4096  # rows per MLP forward pass when scoring
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -355,12 +359,14 @@ class MLPPredictor(Predictor):
         """Slot counts of the distinct rows of a batch, and each cell's row among them.
 
         Rows are keyed on their integer counts as bytes. A slot's counts sum
-        to the cell length, so cells of different lengths never share a key.
+        to the cell length, so cells of different lengths never share a key,
+        and each distinct row's length is read back from its I1 counts.
         """
-        lengths, counts = _slot_counts(cells)
-        keys = counts.astype(np.uint8).view(np.dtype((np.void, SLOT_WIDTH))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return SlotCounts(_FRACTIONS[lengths[first, None], counts[first]]), inverse
+        counts = _slot_counts(cells)[1].astype(np.uint8)
+        keys, inverse = np.unique(counts.view(np.dtype((np.void, SLOT_WIDTH))).ravel(), return_inverse=True)
+        rows = keys.view(np.uint8).reshape(-1, SLOT_WIDTH)
+        lengths = rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)
+        return SlotCounts(_FRACTIONS[lengths, rows]), inverse
 
     @staticmethod
     def take(batch: SlotCounts, index) -> SlotCounts:
@@ -390,7 +396,9 @@ class MLPPredictor(Predictor):
         return _sigmoid(z), hidden
 
     def _scores(self, batch: SlotCounts) -> np.ndarray:
-        probs, _ = self._forward(batch)
+        probs = np.empty(len(batch))
+        for start in range(0, len(batch), SCORE_ROWS):
+            probs[start : start + SCORE_ROWS] = self._forward(SlotCounts(batch.matrix[start : start + SCORE_ROWS]))[0]
         return probs
 
     def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:

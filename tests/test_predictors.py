@@ -150,6 +150,26 @@ def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
         monkeypatch.undo()
 
 
+def test_scoring_forwards_score_rows_at_a_time(monkeypatch):
+    rng = np.random.default_rng(13)
+    batch = colliding_cells(rng)
+    cells, accs = train_batch(n=40, b=3)
+    ens = ensemble_fit(cells, accs, PredictorConfig(kind="mlp", seed=5), level=1)
+    whole = ens.predict(batch)
+    n_distinct = len(ens.members[0].distinct(batch)[0])
+    assert n_distinct % 7 != 0
+    reached = []
+
+    def counted(self, counts, forward=MLPPredictor._forward):
+        reached.append(len(counts))
+        return forward(self, counts)
+
+    monkeypatch.setattr(MLPPredictor, "_forward", counted)
+    monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 7)
+    assert np.array_equal(ens.predict(batch).view(np.int64), whole.view(np.int64))
+    assert reached == ([7] * (n_distinct // 7) + [n_distinct % 7]) * ENSEMBLE_SIZE
+
+
 def masked_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
