@@ -53,13 +53,31 @@ computing only ``dh = da @ W_h.T`` per step. After the loop ``W_h`` and
 ``b`` get their gradients from one matmul and one sum over all steps, and
 the vocabulary collects ``dP = onehot(rows).T @ da``, which gives
 ``E.T @ dP`` for ``W_x`` and ``dP @ W_x.T`` for the embeddings.
-Prediction keeps only the latest step's state.
+Prediction keeps only the latest step's state, and runs each length group
+in near-equal blocks of at most ``SCORE_ROWS`` rows, so the memory of
+scoring does not grow with the batch.
 
 Both train with L1 loss (subgradient 0 at the kink) under full-batch
 Adam, learning rate 0.01 at level 1 and 0.002 afterwards. The output
 bias starts at 1.8, so a fresh model predicts sigmoid(1.8) = 0.86, the
 mean one-block accuracy prior. Bagged 5-member ensembles refit each
 member from scratch on 4/5 of the data.
+
+A predictor keeps its parameters in one flat float64 vector (``flat``);
+``params`` maps each name to a view of it. ``fit`` allocates the
+gradient vector (laid out the same way), Adam's m and v and two scratch
+vectors once, and Adam makes its passes in place over the whole vector.
+The MLP's training pass writes its activations and (n, h) temporaries
+through ``out=`` into buffers sized once per fit, so an epoch allocates
+only vectors of length n. Outside a fit, ``loss_and_grads`` allocates a
+fresh gradient vector.
+
+``ensemble_fit`` fits its members in min(5, usable CPUs / BLAS threads)
+forked worker processes, which share the parent's pages; each sends back
+its trained vectors through a pipe. A member's fit reads only its config, rows,
+targets and level, and the vectors are loaded in member order, so the
+ensemble and everything computed from it are bit-identical whatever the
+worker count. Scoring stays in the calling process.
 
 All arithmetic is float64 and every weight is reachable by
 ``gradient_check``, which compares the analytic gradient of the full
@@ -69,7 +87,10 @@ L1 + sigmoid pipeline against central finite differences.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,7 +100,7 @@ from .seeding import derive_seed
 INPUT_VOCAB = B_MAX + 1  # input ids 0 .. B_MAX cover blocks of every level
 OP_VOCAB = len(Operator)
 ENSEMBLE_SIZE = 5
-SCORE_ROWS = 4096  # rows per MLP forward pass when scoring
+SCORE_ROWS = 4096  # rows per forward pass when scoring
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -223,33 +244,38 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float) -> None:
+    """Adam over one flat parameter vector, in place.
+
+    m, v and two scratch vectors are allocated once, and each step makes
+    whole-vector passes in the per-element order of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, value -= lr*(m/bias1) / (sqrt(v/bias2) + eps).
+    """
+
+    def __init__(self, params: np.ndarray, lr: float) -> None:
+        self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m, self.v, self.step_size, self.denom = (np.zeros_like(params) for _ in range(4))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
-        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-        # value -= lr*(m/bias1) / (sqrt(v/bias2) + eps), so no bit changes
-        for key, value in params.items():
-            g, m, v = grads[key], self.m[key], self.v[key]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            g2 = (1.0 - ADAM_BETA2) * g
-            g2 *= g
-            v += g2
-            denom = v / bias2
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            step = m / bias1
-            step *= self.lr
-            step /= denom
-            value -= step
+        m, v, step, denom = self.m, self.v, self.step_size, self.denom
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        m += step
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        step *= g
+        v += step
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bias1, out=step)
+        step *= self.lr
+        step /= denom
+        self.params -= step
 
 
 class Predictor:
@@ -262,7 +288,29 @@ class Predictor:
             raise ValueError(f"config kind {config.kind!r} does not match model kind {self.kind!r}")
         self.config = config
         rng = np.random.default_rng(derive_seed(config.seed, "init", self.kind))
-        self.params = self._init_params(rng)
+        params = self._init_params(rng)
+        self._shapes = [(key, value.shape) for key, value in params.items()]
+        self.flat = np.concatenate([value.ravel() for value in params.values()])
+        self.params = self._views(self.flat)
+        self._work = None  # the running fit's workspace
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector laid out like `flat`: one per parameter, in init order."""
+        views, start = {}, 0
+        for key, shape in self._shapes:
+            size = math.prod(shape)
+            views[key] = flat[start : start + size].reshape(shape)
+            start += size
+        return views
+
+    def _buffers(self, n: int) -> dict[str, np.ndarray]:
+        """Temporaries a training pass over n rows writes into; none by default."""
+        return {}
+
+    def _workspace(self, n: int) -> SimpleNamespace:
+        """What a training pass over n rows writes: the gradient vector, its named views, the temporaries."""
+        grad = np.zeros_like(self.flat)
+        return SimpleNamespace(grad=grad, grads=self._views(grad), **self._buffers(n))
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -302,7 +350,9 @@ class Predictor:
     def fit(self, cells, accuracies, level: int) -> np.ndarray:
         """Full-batch Adam on L1 loss; returns the per-epoch loss history.
 
-        `cells` may already be encoded (`encode`); it is encoded once, not per epoch.
+        `cells` may already be encoded (`encode`); it is encoded once, not per
+        epoch. The gradient vector, Adam's state and the kind's temporaries
+        are allocated once here, and every epoch writes into them.
         """
         targets = np.asarray(accuracies, dtype=float)
         if len(cells) == 0 or targets.shape != (len(cells),):
@@ -312,16 +362,23 @@ class Predictor:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         batch = self.encode(cells)
-        optimizer = _Adam(self.params, self.config.lr(level))
+        optimizer = _Adam(self.flat, self.config.lr(level))
         history = np.empty(self.config.epochs(level))
-        for epoch in range(len(history)):
-            loss, grads = self.loss_and_grads(batch, targets)
-            optimizer.step(self.params, grads)
-            history[epoch] = loss
+        self._work = self._workspace(len(batch))
+        try:
+            for epoch in range(len(history)):
+                history[epoch], _ = self.loss_and_grads(batch, targets)
+                optimizer.step(self._work.grad)
+        finally:
+            self._work = None
         return history
 
     def _zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        """Zeroed gradient views: the running fit's, or a fresh vector's outside a fit."""
+        if self._work is None:
+            return self._views(np.zeros_like(self.flat))
+        self._work.grad.fill(0.0)
+        return self._work.grads
 
 
 class MLPPredictor(Predictor):
@@ -381,18 +438,45 @@ class MLPPredictor(Predictor):
             for s, (table, offset, vocab) in enumerate(zip(tables, SLOT_OFFSETS, SLOT_VOCABS))
         ]
 
-    def _forward(self, counts: SlotCounts) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Probabilities and the tanh output of every layer.
+    def _forward_buffers(self, n: int) -> dict[str, np.ndarray]:
+        h = self.config.hidden
+        return {
+            "projected": np.empty((SLOT_WIDTH, h)),
+            "hidden": np.empty((self.config.mlp_layers, n, h)),
+            "z": np.empty(n),
+        }
+
+    def _buffers(self, n: int) -> dict[str, np.ndarray]:
+        h = self.config.hidden
+        return {
+            **self._forward_buffers(n),
+            "dh": np.empty((n, h)),
+            "da": np.empty((n, h)),
+            "d_counts": np.empty((SLOT_WIDTH, h)),
+            "d_embed": np.empty((max(SLOT_VOCABS), self.config.embed_dim)),
+        }
+
+    def _forward(self, counts: SlotCounts, work=None) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities and the tanh output of every layer, stacked (layers, n, h).
 
         The first layer runs through the vocabulary: each slot's table is
         projected by its rows of w0, and the counts pick up the projections.
+        Activations go into `work` (a training workspace) when it is given.
         """
         p = self.params
-        projected = np.vstack([p[table] @ p["w0"][rows] for table, rows, _ in self._slot_weights()])
-        hidden = [np.tanh(counts.matrix @ projected + p["b0"])]
-        for layer in range(1, self.config.mlp_layers):
-            hidden.append(np.tanh(hidden[-1] @ p[f"w{layer}"] + p[f"b{layer}"]))
-        z = hidden[-1] @ p["w_out"] + p["b_out"][0]
+        if work is None:
+            work = SimpleNamespace(**self._forward_buffers(len(counts)))
+        projected, hidden = work.projected, work.hidden
+        for table, rows, columns in self._slot_weights():
+            np.matmul(p[table], p["w0"][rows], out=projected[columns])
+        np.matmul(counts.matrix, projected, out=hidden[0])
+        for layer in range(self.config.mlp_layers):
+            if layer:
+                np.matmul(hidden[layer - 1], p[f"w{layer}"], out=hidden[layer])
+            hidden[layer] += p[f"b{layer}"]
+            np.tanh(hidden[layer], out=hidden[layer])
+        z = np.matmul(hidden[-1], p["w_out"], out=work.z)
+        z += p["b_out"][0]
         return _sigmoid(z), hidden
 
     def _scores(self, batch: SlotCounts) -> np.ndarray:
@@ -402,27 +486,34 @@ class MLPPredictor(Predictor):
         return probs
 
     def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        """L1 loss and its gradients; (n, h) temporaries go into the fit's workspace through ``out=``."""
         counts = self.encode(cells)
-        probs, hidden = self._forward(counts)
+        work = self._work or self._workspace(len(counts))
+        probs, hidden = self._forward(counts, work)
         residual = probs - targets
         loss = float(np.mean(np.abs(residual)))
         dz = np.sign(residual) / len(counts) * probs * (1.0 - probs)
-        grads = self._zero_grads()
-        p = self.params
-        grads["w_out"] = hidden[-1].T @ dz
-        grads["b_out"] = np.array([dz.sum()])
-        dh = np.outer(dz, p["w_out"])
-        for layer in reversed(range(1, self.config.mlp_layers)):
-            da = dh * (1.0 - hidden[layer] ** 2)
-            grads[f"w{layer}"] = hidden[layer - 1].T @ da
-            grads[f"b{layer}"] = da.sum(axis=0)
-            dh = da @ p[f"w{layer}"].T
-        da = dh * (1.0 - hidden[0] ** 2)
-        grads["b0"] = da.sum(axis=0)
-        d_counts = counts.matrix.T @ da
+        grads, p = work.grads, self.params
+        np.matmul(hidden[-1].T, dz, out=grads["w_out"])
+        grads["b_out"][0] = dz.sum()
+        dh, da = work.dh, work.da
+        np.multiply(dz[:, None], p["w_out"], out=dh)
+        for layer in reversed(range(self.config.mlp_layers)):
+            # da = dh * (1 - hidden^2)
+            np.multiply(hidden[layer], hidden[layer], out=da)
+            np.subtract(1.0, da, out=da)
+            da *= dh
+            np.sum(da, axis=0, out=grads[f"b{layer}"])
+            if layer:
+                np.matmul(hidden[layer - 1].T, da, out=grads[f"w{layer}"])
+                np.matmul(da, p[f"w{layer}"].T, out=dh)
+        d_counts = np.matmul(counts.matrix.T, da, out=work.d_counts)
+        grads["embed_in"].fill(0.0)
+        grads["embed_op"].fill(0.0)
         for table, rows, columns in self._slot_weights():
-            grads["w0"][rows] = p[table].T @ d_counts[columns]
-            grads[table] += d_counts[columns] @ p["w0"][rows].T
+            np.matmul(p[table].T, d_counts[columns], out=grads["w0"][rows])
+            d_embed = np.matmul(d_counts[columns], p["w0"][rows].T, out=work.d_embed[: len(p[table])])
+            grads[table] += d_embed
         return loss, grads
 
 
@@ -519,10 +610,22 @@ class RNNPredictor(Predictor):
         return _sigmoid(h @ self.params["w_out"] + self.params["b_out"][0])
 
     def _scores(self, batch: TokenBatch) -> np.ndarray:
+        """Each length group runs through the LSTM in near-equal blocks of at most SCORE_ROWS rows.
+
+        A 1-row block would take other BLAS kernels than the same row in a
+        larger pass, and the output layer's matrix-vector product depends
+        on row positions, so blocks are near-equal and the output layer
+        runs once per group: scores do not depend on SCORE_ROWS.
+        """
         projections = self._projections()
         out = np.empty(len(batch))
         for rows, tokens in batch.groups:
-            h_last, _ = self._run(tokens + STEP_ROWS[: tokens.shape[1]], projections)
+            m = len(rows)
+            n_blocks = -(-m // SCORE_ROWS)
+            bounds = [m * k // n_blocks for k in range(n_blocks + 1)]
+            h_last = np.empty((m, self.config.hidden))
+            for lo, hi in zip(bounds, bounds[1:]):
+                h_last[lo:hi] = self._run(tokens[lo:hi] + STEP_ROWS[: tokens.shape[1]], projections)[0]
             out[rows] = self._output(h_last)
         return out
 
@@ -578,7 +681,7 @@ class RNNPredictor(Predictor):
         vocab = np.vstack([p["embed_in"], p["embed_op"]])
         grads["w"][:d] = vocab.T @ d_proj
         d_vocab = d_proj @ p["w"][:d].T
-        grads["embed_in"], grads["embed_op"] = d_vocab[:INPUT_VOCAB], d_vocab[INPUT_VOCAB:]
+        grads["embed_in"][...], grads["embed_op"][...] = d_vocab[:INPUT_VOCAB], d_vocab[INPUT_VOCAB:]
         return loss / n, grads
 
 
@@ -609,25 +712,118 @@ def ensemble_folds(n: int, seed: int) -> list[np.ndarray]:
     return np.array_split(order, ENSEMBLE_SIZE)
 
 
+def _free_cpus() -> int:
+    """Usable CPUs over the BLAS threads each process runs: the most fit workers the host takes.
+
+    The BLAS thread count comes from the first of OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer, as
+    BLAS reads them when it loads; unset, BLAS runs a thread per usable
+    CPU. More workers would oversubscribe the CPUs: with 2 BLAS threads on
+    2 CPUs, 2 workers made a B=5, K=64 search 4.6 times slower than fitting
+    in this process.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _fit_member(config: PredictorConfig, batch, targets: np.ndarray, level: int) -> np.ndarray:
+    """Fit a fresh member on its rows of an encoded batch; returns its parameter vector."""
+    model = new_predictor(config)
+    model.fit(batch, targets, level)
+    return model.flat
+
+
+def _fit_worker(conn, jobs: list[tuple]) -> None:
+    """Body of a worker process: send the parameter vectors of its jobs, or the first exception."""
+    try:
+        share = [_fit_member(*job) for job in jobs]
+    except Exception as exc:  # noqa: BLE001 - the parent raises it
+        import traceback
+
+        exc.add_note("in an ensemble fit worker:\n" + "".join(traceback.format_exception(exc)))
+        share = exc
+    conn.send(share)
+    conn.close()
+
+
+def _fit_in_workers(jobs: list[tuple], workers: int) -> list[np.ndarray] | None:
+    """`_fit_member` over `jobs` in `workers` forked processes, in job order; None where fork is unavailable.
+
+    Worker w takes jobs w, w + workers, ... and sends its vectors back
+    through a pipe. The parent starts no thread: a pool's result threads
+    would unpickle the vectors in glibc arenas of their own, which stay
+    resident and raise the search's peak RSS.
+    """
+    import multiprocessing  # here, not at module level: commands that never refit do not load it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    context = multiprocessing.get_context("fork")
+    started = []
+    try:
+        for w in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            proc = context.Process(target=_fit_worker, args=(sender, jobs[w::workers]))
+            proc.start()
+            sender.close()
+            started.append((proc, receiver))
+        shares = []
+        for proc, receiver in started:
+            try:
+                share = receiver.recv()
+            except EOFError:
+                proc.join()
+                code = proc.exitcode
+                raise RuntimeError(f"an ensemble fit worker exited with code {code} before sending its members") from None
+            if isinstance(share, Exception):
+                raise share
+            shares.append(share)
+    except BaseException:
+        for proc, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in started:
+            receiver.close()
+            proc.join()
+    return [shares[i % workers][i // workers] for i in range(len(jobs))]
+
+
 def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ensemble:
     """Fit ENSEMBLE_SIZE fresh members, each holding out a disjoint fifth.
 
     The training set is encoded once; each member gets its rows of it, in
     ascending order. With fewer than ENSEMBLE_SIZE points some holdouts are
     empty, so each member trains on the full set minus at most one point.
+
+    The members fit in min(ENSEMBLE_SIZE, `_free_cpus()`) worker
+    processes, forked so that they share the parent's pages and its BLAS
+    thread count, or in this process when that count is 1 or ``fork`` is
+    unavailable. Each fit depends only on its
+    member's config, rows, targets and level, and the trained parameters
+    are loaded in member order, so the ensemble is bit-identical whatever
+    the worker count. An exception in a worker's fit reaches the caller as
+    the same type; a worker that dies raises ``RuntimeError``.
     """
     targets = np.asarray(accuracies, dtype=float)
     folds = ensemble_folds(len(cells), derive_seed(config.seed, "folds", level))
-    members = tuple(
-        new_predictor(replace(config, seed=derive_seed(config.seed, "member", level, index)))
-        for index in range(ENSEMBLE_SIZE)
-    )
+    configs = [replace(config, seed=derive_seed(config.seed, "member", level, index)) for index in range(ENSEMBLE_SIZE)]
+    members = tuple(new_predictor(member_config) for member_config in configs)
     batch = members[0].encode(cells)
-    for member, holdout in zip(members, folds):
+    jobs = []
+    for member_config, holdout in zip(configs, folds):
         keep = np.setdiff1d(np.arange(len(cells)), holdout)
         if not keep.size:
             keep = np.arange(len(cells))
-        member.fit(member.take(batch, keep), targets[keep], level)
+        jobs.append((member_config, members[0].take(batch, keep), targets[keep], level))
+    workers = min(ENSEMBLE_SIZE, _free_cpus())
+    fitted = _fit_in_workers(jobs, workers) if workers > 1 else None
+    for member, flat in zip(members, fitted or [_fit_member(*job) for job in jobs]):
+        member.flat[...] = flat
     return Ensemble(members)
 
 

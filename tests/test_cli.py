@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -470,17 +471,68 @@ def test_console_script_smoke(tmp_path):
     assert version.stderr == ""
 
 
-def test_evaluator_imports_stay_light():
-    # An external worker imports cells and evaluators; the package must not
-    # pull the surrogate, search or CLI modules in behind them.
+def source_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(pnas.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import pnas.cells, pnas.evaluators, sys; print(pnas.__version__, *sorted(sys.modules))"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    version, *modules = result.stdout.split()
+    return env
+
+
+def modules_after(imports):
+    """pnas.__version__ and the sorted modules loaded by a fresh interpreter after `imports`."""
+    code = f"import {imports}, sys; print(pnas.__version__, *sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=source_env())
+    return result.stdout.split()
+
+
+def test_evaluator_imports_stay_light():
+    # An external worker imports cells and evaluators; the package must not
+    # pull the surrogate, search or CLI modules in behind them.
+    version, *modules = modules_after("pnas.cells, pnas.evaluators")
     assert version == "0.1.0"
     assert not {"pnas.predictors", "pnas.search", "pnas.harness", "pnas.cli"} & set(modules)
+
+
+def test_cli_import_loads_no_process_machinery():
+    # ensemble_fit imports multiprocessing when it refits; commands that never
+    # refit (--version, count, an external random search) must not pay for it.
+    _, *modules = modules_after("pnas.cli")
+    assert not {"multiprocessing", "concurrent.futures"} & set(modules)
+
+
+DYING_FIT = """
+import os, sys
+import pnas.predictors
+from pnas.cli import main
+
+pnas.predictors._free_cpus = lambda: 2
+fit = pnas.predictors.Predictor.fit
+
+def dying(self, cells, accuracies, level):
+    if level >= 2:
+        os._exit(7)
+    return fit(self, cells, accuracies, level)
+
+pnas.predictors.Predictor.fit = dying
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_dead_fit_worker_exits_3_and_keeps_finished_levels(tmp_path):
+    out_dir = tmp_path / "run"
+    argv = ["search", "-B", "3", "-K", "8", "--predictor", "mlp-ens", "--out", str(out_dir)]
+    started = time.monotonic()
+    env = dict(source_env(), OPENBLAS_NUM_THREADS="1")  # two workers with a BLAS thread each
+    result = subprocess.run([sys.executable, "-c", DYING_FIT, *argv], capture_output=True, text=True, timeout=120, env=env)
+    assert time.monotonic() - started < 60
+    assert result.returncode == 3, result.stderr
+    assert "ensemble fit worker exited with code 7" in result.stderr
+    events = read_trace(str(out_dir / "trace.jsonl"))
+    assert [ev["level"] for ev in events if ev["event"] == "fit"] == [1]
+    assert [ev["level"] for ev in events if ev["event"] == "eval"] == [1] * 136 + [2] * 8
+    assert not (out_dir / ".lock").exists()
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_console_script_entry_point_is_cli_main():

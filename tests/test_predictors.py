@@ -1,5 +1,8 @@
 """Surrogate predictors: encoding, training, ensembling."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,9 +14,11 @@ from pnas.predictors import (
     SLOT_VOCABS,
     Ensemble,
     MLPPredictor,
+    Predictor,
     PredictorConfig,
     RNNPredictor,
     SlotCounts,
+    _free_cpus,
     _sigmoid,
     ensemble_fit,
     ensemble_folds,
@@ -154,20 +159,105 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch):
     rng = np.random.default_rng(13)
     batch = colliding_cells(rng)
     cells, accs = train_batch(n=40, b=3)
-    ens = ensemble_fit(cells, accs, PredictorConfig(kind="mlp", seed=5), level=1)
-    whole = ens.predict(batch)
-    n_distinct = len(ens.members[0].distinct(batch)[0])
-    assert n_distinct % 7 != 0
-    reached = []
+    for kind in ("mlp", "rnn"):
+        config = PredictorConfig(kind="mlp", seed=5) if kind == "mlp" else small_config("rnn", seed=5)
+        ens = ensemble_fit(cells, accs, config, level=1)
+        whole = ens.predict(batch)
+        reached = []  # rows of each forward pass
+        if kind == "mlp":
+            sizes = [len(ens.members[0].distinct(batch)[0])]
 
-    def counted(self, counts, forward=MLPPredictor._forward):
-        reached.append(len(counts))
-        return forward(self, counts)
+            def counted(self, counts, forward=MLPPredictor._forward):
+                reached.append(len(counts))
+                return forward(self, counts)
 
-    monkeypatch.setattr(MLPPredictor, "_forward", counted)
-    monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 7)
-    assert np.array_equal(ens.predict(batch).view(np.int64), whole.view(np.int64))
-    assert reached == ([7] * (n_distinct // 7) + [n_distinct % 7]) * ENSEMBLE_SIZE
+            monkeypatch.setattr(MLPPredictor, "_forward", counted)
+        else:
+            sizes = [len(rows) for rows, _ in RNNPredictor.encode(batch).groups]
+
+            def counted(self, vocab_rows, projections, run=RNNPredictor._run):
+                reached.append(len(vocab_rows))
+                return run(self, vocab_rows, projections)
+
+            monkeypatch.setattr(RNNPredictor, "_run", counted)
+        assert max(sizes) > 7 and any(size % 7 for size in sizes)
+        monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 7)
+        assert np.array_equal(ens.predict(batch).view(np.int64), whole.view(np.int64))
+        if kind == "mlp":  # blocks of 7 and the remainder
+            blocks = [part for size in sizes for part in [7] * (size // 7) + [size % 7] if part]
+        else:  # near-equal blocks of at most 7
+            blocks = [np.diff(size * np.arange(-(-size // 7) + 1) // -(-size // 7)) for size in sizes]
+            blocks = np.concatenate(blocks).tolist()
+        assert max(blocks) <= 7 and reached == blocks * ENSEMBLE_SIZE
+        monkeypatch.undo()
+
+
+def test_free_cpus_leave_room_for_blas_threads(monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert _free_cpus() == 1  # unset, BLAS runs a thread per CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert _free_cpus() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read first
+    assert _free_cpus() == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert _free_cpus() == 2
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr("pnas.predictors._free_cpus", lambda: workers)
+
+
+def pid_logging_fit(monkeypatch, log):
+    """Make every fit append its process id to `log`, from whichever process runs it."""
+    fit = Predictor.fit
+
+    def logged(self, cells, accuracies, level):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fit(self, cells, accuracies, level)
+
+    monkeypatch.setattr(Predictor, "fit", logged)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "rnn"])
+def test_ensemble_fit_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, kind):
+    cells, accs = train_batch(n=23, b=3)
+    probe = [random_cell(b, np.random.default_rng(b)) for b in (1, 2, 4, 6)] + cells
+    fits = {}
+    for workers in (1, 2, 5):
+        force_workers(monkeypatch, workers)
+        log = tmp_path / f"pids-{workers}"
+        pid_logging_fit(monkeypatch, log)
+        ens = ensemble_fit(cells, accs, small_config(kind, seed=9), level=2)
+        monkeypatch.undo()
+        pids = log.read_text().split()
+        assert len(pids) == ENSEMBLE_SIZE
+        # one worker fits in this process; more fit in that many other processes
+        assert len(set(pids) - {str(os.getpid())}) == (0 if workers == 1 else workers)
+        fits[workers] = (snapshot_id(ens), [snapshot_id(m) for m in ens.members], ens.predict(probe).view(np.int64))
+    for workers in (2, 5):
+        assert fits[workers][:2] == fits[1][:2]
+        assert np.array_equal(fits[workers][2], fits[1][2])
+
+
+def test_ensemble_fit_raises_a_worker_exception_as_its_type(monkeypatch):
+    cells, accs = train_batch(n=20)
+    force_workers(monkeypatch, 2)
+    fit = Predictor.fit
+
+    def failing(self, cells, accuracies, level):
+        if self.config.seed % 2:
+            raise ZeroDivisionError(f"member with seed {self.config.seed} diverged")
+        return fit(self, cells, accuracies, level)
+
+    monkeypatch.setattr(Predictor, "fit", failing)
+    with pytest.raises(ZeroDivisionError, match="diverged") as info:
+        ensemble_fit(cells, accs, small_config("mlp"), level=1)
+    assert any("in an ensemble fit worker" in note for note in info.value.__notes__)
+    assert not multiprocessing.active_children()
 
 
 def masked_sigmoid(z):

@@ -249,6 +249,23 @@ def test_search_is_deterministic():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("predictor", ["mlp-ens", "rnn-ens"])
+def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch, predictor):
+    from pnas.predictors import PredictorConfig
+
+    kind = predictor.removesuffix("-ens")
+    small = PredictorConfig(kind=kind, embed_dim=8, hidden=8, epochs_first_level=20, epochs_later_levels=10)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr("pnas.predictors._free_cpus", lambda: workers)
+        writer = ListWriter()
+        config = SearchConfig(b_max=3, beam_size=8, predictor=predictor, seed=4)
+        pnas_search(config, SyntheticOracle(), writer, predictor_config=small)
+        runs.append(writer.events)
+    assert [ev["event"] for ev in runs[0]].count("fit") == 3
+    assert runs[0] == runs[1]
+
+
 def test_search_failed_record_keeps_slot():
     doomed = cell_key(one_block_cells()[17])
     trace = pnas_search(perfect_config(b_max=1), FailingEvaluator(fail_keys=[doomed]))
