@@ -10,6 +10,16 @@ mean across trials.
 
 Sample draws are shared across predictor kinds (the seed depends on trial
 and level only), so kinds are compared on identical training sets.
+
+Each (kind, level, trial) is one independent job: draw the sample, fit
+the surrogate, predict the sample and the pool one level up. The jobs run
+through ``predictors.fork_map`` in forked worker processes, which read
+the pools and measured accuracies from the parent's pages and send back
+the sample indices and the two prediction vectors. An ensemble's members
+then fit inside the job's worker, since forks never nest. Every
+``spearman`` call runs in the parent, in kind, level and trial order. A
+job depends only on its seeds and the pools, so the report is
+bit-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .cells import B_MAX, CellSpec, cell_key, one_block_cells, random_cell
 from .evaluators import EvalRequest
 from .metrics import spearman
 from .network import StackPlan
-from .predictors import PredictorConfig
+from .predictors import PredictorConfig, fork_map
 from .search import PREDICTOR_KINDS, make_surrogate
 from .seeding import derive_seed
 
@@ -114,23 +124,29 @@ def predictor_harness(config: HarnessConfig, evaluator, base: PredictorConfig | 
     measured = {b: _measure(evaluator, pools[b], config, eval_seed) for b in pools}
 
     levels = tuple(range(1, config.b_max))
+    jobs = [(kind, b, t) for kind in config.kinds for b in levels for t in range(config.trials)]
+
+    def fit_job(job: tuple[str, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The job's sample indices, and its fresh surrogate's predictions on the sample and on pool b + 1."""
+        kind, b, t = job
+        draw = np.random.default_rng(derive_seed(config.seed, "sample", t, b))
+        idx = draw.choice(len(pools[b]), size=min(config.sample_size, len(pools[b])), replace=False)
+        sample = [pools[b][i] for i in idx]
+        surrogate = make_surrogate(kind, derive_seed(config.seed, "predictor", kind, t, b), evaluator, base)
+        surrogate.update(sample, measured[b][idx], b)
+        return idx, surrogate.predict(sample), surrogate.predict(pools[b + 1])
+
+    results = iter(fork_map(fit_job, jobs, label="a harness worker"))
     fit: dict[tuple[str, int], tuple[float, ...]] = {}
     extrapolate: dict[tuple[str, int], tuple[float, ...]] = {}
     for kind in config.kinds:
         for b in levels:
             fit_trials: list[float] = []
             ext_trials: list[float] = []
-            for t in range(config.trials):
-                draw = np.random.default_rng(derive_seed(config.seed, "sample", t, b))
-                idx = draw.choice(len(pools[b]), size=min(config.sample_size, len(pools[b])), replace=False)
-                sample = [pools[b][i] for i in idx]
-                sample_acc = measured[b][idx]
-                surrogate = make_surrogate(
-                    kind, derive_seed(config.seed, "predictor", kind, t, b), evaluator, base
-                )
-                surrogate.update(sample, sample_acc, b)
-                fit_trials.append(spearman(surrogate.predict(sample), sample_acc))
-                ext_trials.append(spearman(surrogate.predict(pools[b + 1]), measured[b + 1]))
+            for _ in range(config.trials):
+                idx, on_sample, on_pool = next(results)
+                fit_trials.append(spearman(on_sample, measured[b][idx]))
+                ext_trials.append(spearman(on_pool, measured[b + 1]))
             fit[(kind, b)] = tuple(fit_trials)
             extrapolate[(kind, b)] = tuple(ext_trials)
     return CorrelationReport(kinds=config.kinds, levels=levels, fit=fit, extrapolate=extrapolate)

@@ -18,7 +18,8 @@ regressor bodies are provided:
 The MLP never builds that 4D-dimensional vector. A batch is encoded once
 (``MLPPredictor.encode``) into slot counts: for each cell and each of the
 four slots, the fraction of its blocks holding each of the 11 input or 8
-operator ids, one (n, 38) matrix counted with ``np.bincount``. Count k of
+operator ids, one (n, 38) matrix counted with one ``np.bincount`` per
+slot into ``uint8`` columns. Count k of
 a b-block cell maps to k copies of 1/b summed left to right, the value an
 ``np.add.at`` accumulation gives. The slot average of embeddings is then
 ``C_slot @ E_slot``, so the first layer factors through the 19-row
@@ -72,12 +73,15 @@ through ``out=`` into buffers sized once per fit, so an epoch allocates
 only vectors of length n. Outside a fit, ``loss_and_grads`` allocates a
 fresh gradient vector.
 
-``ensemble_fit`` fits its members in min(5, usable CPUs / BLAS threads)
-forked worker processes, which share the parent's pages; each sends back
-its trained vectors through a pipe. A member's fit reads only its config, rows,
-targets and level, and the vectors are loaded in member order, so the
-ensemble and everything computed from it are bit-identical whatever the
-worker count. Scoring stays in the calling process.
+``fork_map`` maps a function over jobs in min(jobs, usable CPUs / BLAS
+threads) forked worker processes, which share the parent's pages; each
+sends back its results through a pipe, and they are returned in job
+order. ``ensemble_fit`` fits its members through it, and so does the
+rank-correlation harness (``pnas.harness``) with its independent fits. A
+member's fit reads only its config, rows, targets and level, and the
+vectors are loaded in member order, so the ensemble and everything
+computed from it are bit-identical whatever the worker count. Scoring
+stays in the calling process.
 
 All arithmetic is float64 and every weight is reachable by
 ``gradient_check``, which compares the analytic gradient of the full
@@ -181,12 +185,20 @@ def _cell_blocks(cells) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_counts(cells) -> tuple[np.ndarray, np.ndarray]:
-    """(blocks per cell, (n, SLOT_WIDTH) integer slot counts) of a range-checked batch."""
+    """(blocks per cell, (n, SLOT_WIDTH) uint8 slot counts) of a range-checked batch.
+
+    Each slot is counted with one np.bincount over cell * vocab + id, written
+    into its columns; a count never exceeds B_MAX.
+    """
     lengths, blocks = _cell_blocks(cells)
     n = len(lengths)
-    rows = np.repeat(np.arange(n) * SLOT_WIDTH, lengths)
-    counts = np.bincount((rows[:, None] + SLOT_OFFSETS + blocks).ravel(), minlength=n * SLOT_WIDTH)
-    return lengths, counts.reshape(n, SLOT_WIDTH)
+    cell_of = np.repeat(np.arange(n), lengths)
+    counts = np.empty((n, SLOT_WIDTH), dtype=np.uint8)
+    for slot, (offset, vocab) in enumerate(zip(SLOT_OFFSETS, SLOT_VOCABS)):
+        index = cell_of * vocab
+        index += blocks[:, slot]
+        counts[:, offset : offset + vocab] = np.bincount(index, minlength=n * vocab).reshape(n, vocab)
+    return lengths, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +431,7 @@ class MLPPredictor(Predictor):
         to the cell length, so cells of different lengths never share a key,
         and each distinct row's length is read back from its I1 counts.
         """
-        counts = _slot_counts(cells)[1].astype(np.uint8)
+        counts = _slot_counts(cells)[1]
         keys, inverse = np.unique(counts.view(np.dtype((np.void, SLOT_WIDTH))).ravel(), return_inverse=True)
         rows = keys.view(np.uint8).reshape(-1, SLOT_WIDTH)
         lengths = rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)
@@ -712,6 +724,9 @@ def ensemble_folds(n: int, seed: int) -> list[np.ndarray]:
     return np.array_split(order, ENSEMBLE_SIZE)
 
 
+_IN_WORKER = False  # set in a fork_map worker, whose own fork_map calls then run in-process
+
+
 def _free_cpus() -> int:
     """Usable CPUs over the BLAS threads each process runs: the most fit workers the host takes.
 
@@ -730,44 +745,50 @@ def _free_cpus() -> int:
     return 1
 
 
-def _fit_member(config: PredictorConfig, batch, targets: np.ndarray, level: int) -> np.ndarray:
-    """Fit a fresh member on its rows of an encoded batch; returns its parameter vector."""
-    model = new_predictor(config)
-    model.fit(batch, targets, level)
-    return model.flat
-
-
-def _fit_worker(conn, jobs: list[tuple]) -> None:
-    """Body of a worker process: send the parameter vectors of its jobs, or the first exception."""
+def _fork_worker(conn, fn, jobs: list, label: str) -> None:
+    """Body of a fork_map worker: send the results of its jobs, or the first exception."""
+    global _IN_WORKER
+    _IN_WORKER = True
     try:
-        share = [_fit_member(*job) for job in jobs]
+        results = [fn(job) for job in jobs]
     except Exception as exc:  # noqa: BLE001 - the parent raises it
         import traceback
 
-        exc.add_note("in an ensemble fit worker:\n" + "".join(traceback.format_exception(exc)))
-        share = exc
-    conn.send(share)
+        exc.add_note(f"in {label}:\n" + "".join(traceback.format_exception(exc)))
+        results = exc
+    conn.send(results)
     conn.close()
 
 
-def _fit_in_workers(jobs: list[tuple], workers: int) -> list[np.ndarray] | None:
-    """`_fit_member` over `jobs` in `workers` forked processes, in job order; None where fork is unavailable.
+def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map worker") -> list:
+    """[fn(job) for job in jobs], computed in up to `workers` (default `_free_cpus()`) forked processes.
 
-    Worker w takes jobs w, w + workers, ... and sends its vectors back
-    through a pipe. The parent starts no thread: a pool's result threads
-    would unpickle the vectors in glibc arenas of their own, which stay
-    resident and raise the search's peak RSS.
+    Worker w takes jobs w, w + workers, ... and sends its results back
+    through a pipe; they are returned in job order. Forked workers read
+    whatever `fn` reaches in the parent's memory without a copy; only
+    results are pickled. The parent starts no thread: a pool's result
+    threads would unpickle in glibc arenas of their own, which stay
+    resident and raise the peak RSS. The jobs run in this process when
+    there is one worker, when ``fork`` is unavailable, and inside a worker,
+    so forks never nest. An exception in a worker reaches the caller as
+    the same type, with a note naming `label`; a worker that dies raises
+    ``RuntimeError``. Either way the other workers are terminated and
+    joined.
     """
-    import multiprocessing  # here, not at module level: commands that never refit do not load it
+    jobs = list(jobs)
+    workers = min(len(jobs), _free_cpus() if workers is None else workers)
+    if workers <= 1 or _IN_WORKER:
+        return [fn(job) for job in jobs]
+    import multiprocessing  # here, not at module level: commands that never fork do not load it
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return None
+        return [fn(job) for job in jobs]
     context = multiprocessing.get_context("fork")
     started = []
     try:
         for w in range(workers):
             receiver, sender = context.Pipe(duplex=False)
-            proc = context.Process(target=_fit_worker, args=(sender, jobs[w::workers]))
+            proc = context.Process(target=_fork_worker, args=(sender, fn, jobs[w::workers], label))
             proc.start()
             sender.close()
             started.append((proc, receiver))
@@ -777,8 +798,7 @@ def _fit_in_workers(jobs: list[tuple], workers: int) -> list[np.ndarray] | None:
                 share = receiver.recv()
             except EOFError:
                 proc.join()
-                code = proc.exitcode
-                raise RuntimeError(f"an ensemble fit worker exited with code {code} before sending its members") from None
+                raise RuntimeError(f"{label} exited with code {proc.exitcode} before sending its results") from None
             if isinstance(share, Exception):
                 raise share
             shares.append(share)
@@ -796,33 +816,33 @@ def _fit_in_workers(jobs: list[tuple], workers: int) -> list[np.ndarray] | None:
 def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ensemble:
     """Fit ENSEMBLE_SIZE fresh members, each holding out a disjoint fifth.
 
-    The training set is encoded once; each member gets its rows of it, in
-    ascending order. With fewer than ENSEMBLE_SIZE points some holdouts are
-    empty, so each member trains on the full set minus at most one point.
+    The training set is encoded once; each member trains on its rows of
+    it, in ascending order. With fewer than ENSEMBLE_SIZE points some
+    holdouts are empty, so each member trains on the full set minus at
+    most one point.
 
-    The members fit in min(ENSEMBLE_SIZE, `_free_cpus()`) worker
-    processes, forked so that they share the parent's pages and its BLAS
-    thread count, or in this process when that count is 1 or ``fork`` is
-    unavailable. Each fit depends only on its
-    member's config, rows, targets and level, and the trained parameters
-    are loaded in member order, so the ensemble is bit-identical whatever
-    the worker count. An exception in a worker's fit reaches the caller as
-    the same type; a worker that dies raises ``RuntimeError``.
+    The members fit through `fork_map`, in min(ENSEMBLE_SIZE,
+    `_free_cpus()`) forked processes that share the parent's pages and its
+    BLAS thread count. Each fit depends only on its member's config, rows,
+    targets and level, and the trained parameters are loaded in member
+    order, so the ensemble is bit-identical whatever the worker count.
     """
     targets = np.asarray(accuracies, dtype=float)
     folds = ensemble_folds(len(cells), derive_seed(config.seed, "folds", level))
-    configs = [replace(config, seed=derive_seed(config.seed, "member", level, index)) for index in range(ENSEMBLE_SIZE)]
-    members = tuple(new_predictor(member_config) for member_config in configs)
+    members = tuple(
+        new_predictor(replace(config, seed=derive_seed(config.seed, "member", level, index)))
+        for index in range(ENSEMBLE_SIZE)
+    )
     batch = members[0].encode(cells)
-    jobs = []
-    for member_config, holdout in zip(configs, folds):
-        keep = np.setdiff1d(np.arange(len(cells)), holdout)
+
+    def fit(index: int) -> np.ndarray:
+        keep = np.setdiff1d(np.arange(len(cells)), folds[index])
         if not keep.size:
             keep = np.arange(len(cells))
-        jobs.append((member_config, members[0].take(batch, keep), targets[keep], level))
-    workers = min(ENSEMBLE_SIZE, _free_cpus())
-    fitted = _fit_in_workers(jobs, workers) if workers > 1 else None
-    for member, flat in zip(members, fitted or [_fit_member(*job) for job in jobs]):
+        members[index].fit(members[index].take(batch, keep), targets[keep], level)
+        return members[index].flat
+
+    for member, flat in zip(members, fork_map(fit, range(ENSEMBLE_SIZE), label="an ensemble fit worker")):
         member.flat[...] = flat
     return Ensemble(members)
 

@@ -535,6 +535,18 @@ def test_dead_fit_worker_exits_3_and_keeps_finished_levels(tmp_path):
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 
+def test_dead_harness_worker_exits_3(tmp_path):
+    out_dir = tmp_path / "run"
+    argv = ["harness", "--predictors", "mlp", "-T", "1", "-K", "8", "-R", "15", "-B", "3", "--out", str(out_dir)]
+    started = time.monotonic()
+    result = subprocess.run([sys.executable, "-c", DYING_FIT, *argv], capture_output=True, text=True, timeout=120, env=source_env())
+    assert time.monotonic() - started < 60
+    assert result.returncode == 3, result.stderr
+    assert "a harness worker exited with code 7" in result.stderr
+    assert not (out_dir / ".lock").exists()
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
+
+
 def test_console_script_entry_point_is_cli_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,5 +1,8 @@
 """Rank-correlation harness for comparing predictor kinds."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from pnas.cells import cell_key
@@ -11,11 +14,12 @@ from pnas.harness import (
     distinct_random_cells,
     predictor_harness,
 )
-from pnas.predictors import PredictorConfig
+from pnas.predictors import Predictor, PredictorConfig
 
 TINY = PredictorConfig(
     kind="mlp", embed_dim=12, hidden=10, epochs_first_level=30, epochs_later_levels=20
 )
+TINY_RNN = PredictorConfig(kind="rnn", embed_dim=8, hidden=8, epochs_first_level=20, epochs_later_levels=10)
 
 
 def tiny_config(**kw):
@@ -91,3 +95,59 @@ def test_report_mean_helpers():
     )
     assert report.mean_fit("mlp", 1) == pytest.approx(0.3)
     assert report.mean_extrapolate("mlp", 1) == pytest.approx(0.3)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr("pnas.predictors._free_cpus", lambda: workers)
+
+
+def log_fits(monkeypatch, log):
+    """Make every fit append its process id and its parent's to `log`, from whichever process runs it."""
+    fit = Predictor.fit
+
+    def logged(self, cells, accuracies, level):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {os.getppid()}\n")
+        return fit(self, cells, accuracies, level)
+
+    monkeypatch.setattr(Predictor, "fit", logged)
+
+
+@pytest.mark.parametrize("kinds, base", [(("mlp",), TINY), (("rnn", "rnn-ens"), TINY_RNN)], ids=["mlp", "rnn"])
+def test_harness_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, kinds, base):
+    me = str(os.getpid())
+    reports = {}
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        log = tmp_path / f"fits-{workers}"
+        log_fits(monkeypatch, log)
+        reports[workers] = predictor_harness(tiny_config(kinds=kinds), SyntheticOracle(), base=base)
+        monkeypatch.undo()
+        fits = [line.split() for line in log.read_text().splitlines()]
+        # 2 levels x 2 trials per kind, and an ensemble job fits its 5 members
+        assert len(fits) == 4 * sum(5 if kind.endswith("-ens") else 1 for kind in kinds)
+        if workers == 1:
+            assert {pid for pid, _ in fits} == {me}
+        else:
+            # every fit, an ensemble member's too, runs in one of `workers`
+            # children of this process: the harness workers never fork again
+            assert len({pid for pid, _ in fits}) == workers
+            assert {parent for _, parent in fits} == {me}
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+
+
+def test_harness_raises_a_worker_exception_as_its_type(monkeypatch):
+    force_workers(monkeypatch, 2)
+    fit = Predictor.fit
+
+    def failing(self, cells, accuracies, level):
+        if level == 2:
+            raise ZeroDivisionError(f"the level {level} fit diverged")
+        return fit(self, cells, accuracies, level)
+
+    monkeypatch.setattr(Predictor, "fit", failing)
+    with pytest.raises(ZeroDivisionError, match="diverged") as info:
+        predictor_harness(tiny_config(), SyntheticOracle(), base=TINY)
+    assert any("in a harness worker" in note for note in info.value.__notes__)
+    assert not multiprocessing.active_children()

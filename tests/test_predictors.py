@@ -22,6 +22,7 @@ from pnas.predictors import (
     _sigmoid,
     ensemble_fit,
     ensemble_folds,
+    fork_map,
     gradient_check,
     new_predictor,
     snapshot_id,
@@ -241,6 +242,19 @@ def test_ensemble_fit_does_not_depend_on_the_worker_count(monkeypatch, tmp_path,
     for workers in (2, 5):
         assert fits[workers][:2] == fits[1][:2]
         assert np.array_equal(fits[workers][2], fits[1][2])
+
+
+def test_fork_map_stripes_jobs_over_workers_and_never_nests():
+    def job(j):
+        return j * j, os.getpid(), fork_map(lambda _: os.getpid(), range(2), workers=2)
+
+    results = fork_map(job, range(7), workers=3)
+    assert [square for square, _, _ in results] == [j * j for j in range(7)]
+    pids = [pid for _, pid, _ in results]
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert pids == [pids[j % 3] for j in range(7)]  # worker w takes jobs w, w + 3, ...
+    assert all(nested == [pid, pid] for _, pid, nested in results)  # run in-process inside a worker
+    assert not multiprocessing.active_children()
 
 
 def test_ensemble_fit_raises_a_worker_exception_as_its_type(monkeypatch):
