@@ -195,7 +195,8 @@ def cell_key(cell: CellSpec) -> str:
 def parse_cell_key(key: str) -> CellSpec:
     """Parse a textual cell key; inverse of ``cell_key``.
 
-    Raises CellKeyError naming the offending segment. Accepts structurally
+    Raises CellKeyError naming the offending segment or block; ids are
+    range-checked by ``validate_cell``. Accepts structurally
     valid non-canonical keys (callers wanting dedup semantics should
     canonicalize the result).
     """
@@ -224,17 +225,11 @@ def parse_cell_key(key: str) -> CellSpec:
             raise CellKeyError(
                 f"cell key {key!r}: block {pos} segment {segment!r} has a non-integer field"
             ) from None
-        for i in (i1, i2):
-            if not 0 <= i < pos + 1:
-                raise CellKeyError(
-                    f"cell key {key!r}: block {pos} segment {segment!r} input id {i} outside [0, {pos + 1})"
-                )
-        for o in (o1, o2):
-            if not 0 <= o < NUM_OPERATORS:
-                raise CellKeyError(
-                    f"cell key {key!r}: block {pos} segment {segment!r} operator id {o} outside [0, {NUM_OPERATORS})"
-                )
         blocks.append(BlockSpec(i1, i2, o1, o2))
+    try:
+        validate_cell(blocks)
+    except ValueError as exc:
+        raise CellKeyError(f"cell key {key!r}: {exc}") from None
     return tuple(blocks)
 
 

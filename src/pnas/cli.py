@@ -2,9 +2,12 @@
 
 Every run writes a manifest before the first evaluation, a JSON-lines
 trace, and CSV summaries; together they are sufficient to re-derive any
-number the commands print. Configuration precedence is flags over
-config-file entries over built-in defaults; the config file is plain
-``key=value`` lines with ``#`` comments.
+number the commands print. A run holds an exclusive ``flock`` on its
+run directory while any of its processes lives, so two runs never write
+one directory at once, and a killed run's lock goes with it.
+Configuration precedence is flags over config-file entries over built-in
+defaults; the config file is plain ``key=value`` lines with ``#``
+comments.
 
 Exit codes: 0 success, 1 configuration error, 2 evaluator or transport
 error, 3 internal contract violation.
@@ -13,6 +16,7 @@ error, 3 internal contract violation.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import shlex
 import sys
@@ -94,74 +98,34 @@ def _merge(defaults: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _take_lock(lock_path: str) -> bool:
-    """Create `lock_path` holding this process's pid; False if it already exists."""
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-    os.close(fd)
-    return True
-
-
-def _names_dead_pid(lock_path: str) -> bool:
-    """Whether the lock holds the pid of a process that no longer exists.
-
-    An empty or unparsable lock does not: its run may be between creating
-    and writing it.
-    """
-    try:
-        with open(lock_path, "rb") as fh:
-            pid = int(fh.read())
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass
-    return False
-
-
-def _reclaim_dead_lock(lock_path: str) -> bool:
-    """Replace a lock whose pid is dead with one holding this pid; False if the lock stays.
-
-    Reclaiming runs exclude each other with a second lock, and read the pid
-    under it, so none removes a lock that another has just taken.
-    """
-    guard = lock_path + ".reclaim"
-    if not _take_lock(guard):
-        return False
-    try:
-        if not _names_dead_pid(lock_path):
-            return False
-        os.unlink(lock_path)
-        return _take_lock(lock_path)
-    finally:
-        os.unlink(guard)
-
-
 @contextmanager
 def _run_dir(path: str, manifest: dict):
     """Create and lock the run directory, and keep its manifest's status current.
 
-    A lock left by a run whose process is dead is reclaimed. The manifest
+    The lock is an exclusive ``flock`` on the directory itself. The kernel
+    drops it when the last process holding the descriptor exits, however
+    it ends, so a killed run leaves no stale lock behind; forked fit workers
+    inherit the descriptor and hold the lock until they exit. The manifest
     is written as ``running`` on entry and rewritten as ``completed``, or
-    as ``failed`` before the exception propagates. The lock is released
-    either way. Yields a function that joins names onto the directory.
+    as ``failed`` before the exception propagates. Yields a function that
+    joins names onto the directory.
     """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create run directory {path}: {exc}") from None
-    lock_path = os.path.join(path, ".lock")
-    if not (_take_lock(lock_path) or _reclaim_dead_lock(lock_path)):
-        raise ConfigError(
-            f"run directory {path!r} is locked by another run"
-            f" (remove {lock_path} if that run is dead)"
-        )
-    manifest_path = os.path.join(path, "manifest.json")
     try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError as exc:
+        raise ConfigError(f"cannot open run directory {path}: {exc}") from None
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"run directory {path!r} is locked by another run") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot lock run directory {path!r}: {exc}") from None
+        manifest_path = os.path.join(path, "manifest.json")
         manifest.update(started_utc=_utc_now(), finished_utc=None, status="running")
         write_json(manifest_path, manifest)
         try:
@@ -173,10 +137,7 @@ def _run_dir(path: str, manifest: dict):
         manifest.update(status="completed", finished_utc=_utc_now())
         write_json(manifest_path, manifest)
     finally:
-        try:
-            os.unlink(lock_path)
-        except OSError:
-            pass
+        os.close(fd)
 
 
 EVALUATOR_BACKENDS = ("synthetic", "tabular", "external")

@@ -15,10 +15,12 @@ stdin/stdout:
     response  {"id": int, "accuracy": float}
               or {"id": int, "error": "<message>"}
 
-The client ends the stream with ``{"done": true}``; a conforming worker
-then exits 0. Responses may arrive in any order and are re-associated by
-id. A response whose accuracy falls outside [0, 1], or an explicit error
-response, poisons only that record; a crashed worker is restarted and the
+The client writes a batch's requests, then ``{"done": true}``, to a
+temporary file that becomes the worker's stdin, so the worker may answer
+while it reads; a conforming worker exits 0 after the last line.
+Responses may arrive in any order and are re-associated by id. A response
+whose accuracy falls outside [0, 1], or an explicit error response,
+poisons only that record; a crashed worker is restarted and the
 unanswered requests are resent, up to a configured retry budget.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 import subprocess
-import threading
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,28 +298,14 @@ class ExternalEvaluator:
             for rid, key in pending.items()
         ]
         lines.append(json.dumps({"done": True}))
-        try:
-            proc = subprocess.Popen(
-                self.worker_cmd,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-            )
-        except OSError as exc:
-            raise WorkerTransportError(f"cannot start worker {self.worker_cmd!r}: {exc}") from exc
-
-        def feed() -> None:
+        # a file, unlike a pipe, never fills, so the worker can answer while it reads
+        with tempfile.TemporaryFile("w+") as feed:
+            feed.writelines(line + "\n" for line in lines)
+            feed.seek(0)
             try:
-                assert proc.stdin is not None
-                for line in lines:
-                    proc.stdin.write(line + "\n")
-                proc.stdin.flush()
-                proc.stdin.close()
-            except (BrokenPipeError, OSError):
-                pass  # crash is detected on the read side
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
+                proc = subprocess.Popen(self.worker_cmd, stdin=feed, stdout=subprocess.PIPE, text=True)
+            except OSError as exc:
+                raise WorkerTransportError(f"cannot start worker {self.worker_cmd!r}: {exc}") from exc
         assert proc.stdout is not None
         try:
             for raw in proc.stdout:
@@ -351,7 +339,6 @@ class ExternalEvaluator:
             proc.kill()  # a worker still alive would block the wait below forever
             raise
         finally:
-            writer.join(timeout=5.0)
             try:
                 proc.stdout.close()
             except OSError:

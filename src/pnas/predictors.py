@@ -26,7 +26,7 @@ a b-block cell maps to k copies of 1/b summed left to right, the value an
 vocabulary: its pre-activation is ``sum over slots of C_slot @ (E_slot @
 W0_slot)``, and its backward pass forms ``C_slot.T @ da`` once per slot
 before reaching ``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once,
-not once per epoch, and an ensemble encodes once for all its members.
+not once per epoch.
 
 Averaging also makes cells with equal slot counts score bit-equal, and
 the children of a search collide often (202,336 children but 41,400
@@ -332,11 +332,6 @@ class Predictor:
         """The batch as predict and loss_and_grads consume it, encoded once."""
         raise NotImplementedError
 
-    @staticmethod
-    def take(batch, index):
-        """Rows `index` of an encoded batch, in that order."""
-        raise NotImplementedError
-
     def distinct(self, cells):
         """The encoded rows the forward pass runs on, and the index that gathers their scores back to `cells`.
 
@@ -436,10 +431,6 @@ class MLPPredictor(Predictor):
         rows = keys.view(np.uint8).reshape(-1, SLOT_WIDTH)
         lengths = rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)
         return SlotCounts(_FRACTIONS[lengths, rows]), inverse
-
-    @staticmethod
-    def take(batch: SlotCounts, index) -> SlotCounts:
-        return SlotCounts(batch.matrix[index])
 
     def _slot_weights(self) -> list[tuple[str, slice, slice]]:
         """(embedding table, rows of w0, columns of the slot counts) of each slot."""
@@ -559,21 +550,6 @@ class RNNPredictor(Predictor):
             rows = np.flatnonzero(lengths == b)
             tokens = blocks[first[rows, None] + np.arange(b)].reshape(len(rows), 4 * b)
             groups.append((rows, tokens))
-        return TokenBatch(tuple(groups))
-
-    @staticmethod
-    def take(batch: TokenBatch, index) -> TokenBatch:
-        index = np.asarray(index, dtype=np.intp)
-        group_of = np.empty(len(batch), dtype=np.intp)
-        row_in_group = np.empty(len(batch), dtype=np.intp)
-        for g, (rows, _) in enumerate(batch.groups):
-            group_of[rows] = g
-            row_in_group[rows] = np.arange(len(rows))
-        groups = []
-        for g, (_, tokens) in enumerate(batch.groups):
-            picked = np.flatnonzero(group_of[index] == g)
-            if picked.size:
-                groups.append((picked, tokens[row_in_group[index[picked]]]))
         return TokenBatch(tuple(groups))
 
     def _projections(self) -> tuple[np.ndarray, np.ndarray]:
@@ -745,10 +721,18 @@ def _free_cpus() -> int:
     return 1
 
 
-def _fork_worker(conn, fn, jobs: list, label: str) -> None:
-    """Body of a fork_map worker: send the results of its jobs, or the first exception."""
+def _fork_worker(conn, readers: list, fn, jobs: list, label: str) -> None:
+    """Body of a fork_map worker: send the results of its jobs, or the first exception.
+
+    It first closes the pipe read ends it inherited, its own among them.
+    Once the parent is gone no process can read its pipe, so the send fails
+    and the worker exits, instead of blocking forever on a full pipe while
+    it holds whatever the parent had open, such as the run directory's lock.
+    """
     global _IN_WORKER
     _IN_WORKER = True
+    for reader in readers:
+        reader.close()
     try:
         results = [fn(job) for job in jobs]
     except Exception as exc:  # noqa: BLE001 - the parent raises it
@@ -764,22 +748,23 @@ def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map work
     """[fn(job) for job in jobs], computed in up to `workers` (default `_free_cpus()`) forked processes.
 
     Worker w takes jobs w, w + workers, ... and sends its results back
-    through a pipe; they are returned in job order. Forked workers read
-    whatever `fn` reaches in the parent's memory without a copy; only
-    results are pickled. The parent starts no thread: a pool's result
-    threads would unpickle in glibc arenas of their own, which stay
-    resident and raise the peak RSS. The jobs run in this process when
-    there is one worker, when ``fork`` is unavailable, and inside a worker,
-    so forks never nest. An exception in a worker reaches the caller as
+    through a pipe; the parent takes them as they arrive and returns them
+    in job order. Forked workers read whatever `fn` reaches in the parent's
+    memory without a copy; only results are pickled. The parent starts no
+    thread: a pool's result threads would unpickle in glibc arenas of their
+    own, which stay resident and raise the peak RSS. The jobs run in this
+    process when there is one worker, when ``fork`` is unavailable, and
+    inside a worker, so forks never nest. An exception in a worker reaches the caller as
     the same type, with a note naming `label`; a worker that dies raises
-    ``RuntimeError``. Either way the other workers are terminated and
-    joined.
+    ``RuntimeError`` as soon as its pipe closes, whatever the other workers
+    are doing. Either way the other workers are terminated and joined.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _free_cpus() if workers is None else workers)
     if workers <= 1 or _IN_WORKER:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, not at module level: commands that never fork do not load it
+    from multiprocessing.connection import wait
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(job) for job in jobs]
@@ -788,20 +773,24 @@ def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map work
     try:
         for w in range(workers):
             receiver, sender = context.Pipe(duplex=False)
-            proc = context.Process(target=_fork_worker, args=(sender, fn, jobs[w::workers], label))
+            readers = [receiver, *(r for _, r in started)]
+            proc = context.Process(target=_fork_worker, args=(sender, readers, fn, jobs[w::workers], label))
             proc.start()
             sender.close()
             started.append((proc, receiver))
-        shares = []
-        for proc, receiver in started:
-            try:
-                share = receiver.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"{label} exited with code {proc.exitcode} before sending its results") from None
-            if isinstance(share, Exception):
-                raise share
-            shares.append(share)
+        shares = [None] * workers
+        waiting = {receiver: (w, proc) for w, (proc, receiver) in enumerate(started)}
+        while waiting:
+            for receiver in wait(list(waiting)):
+                w, proc = waiting.pop(receiver)
+                try:
+                    share = receiver.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"{label} exited with code {proc.exitcode} before sending its results") from None
+                if isinstance(share, Exception):
+                    raise share
+                shares[w] = share
     except BaseException:
         for proc, _ in started:
             proc.terminate()
@@ -816,8 +805,8 @@ def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map work
 def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ensemble:
     """Fit ENSEMBLE_SIZE fresh members, each holding out a disjoint fifth.
 
-    The training set is encoded once; each member trains on its rows of
-    it, in ascending order. With fewer than ENSEMBLE_SIZE points some
+    Each member encodes its own rows of the training set, in ascending
+    order, and trains on them. With fewer than ENSEMBLE_SIZE points some
     holdouts are empty, so each member trains on the full set minus at
     most one point.
 
@@ -833,13 +822,12 @@ def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ense
         new_predictor(replace(config, seed=derive_seed(config.seed, "member", level, index)))
         for index in range(ENSEMBLE_SIZE)
     )
-    batch = members[0].encode(cells)
 
     def fit(index: int) -> np.ndarray:
         keep = np.setdiff1d(np.arange(len(cells)), folds[index])
         if not keep.size:
             keep = np.arange(len(cells))
-        members[index].fit(members[index].take(batch, keep), targets[keep], level)
+        members[index].fit([cells[i] for i in keep], targets[keep], level)
         return members[index].flat
 
     for member, flat in zip(members, fork_map(fit, range(ENSEMBLE_SIZE), label="an ensemble fit worker")):

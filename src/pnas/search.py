@@ -306,44 +306,36 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
     all_records: list[EvalRecord] = []
     levels: list[LevelResult] = []
 
-    def absorb(cells: list[CellSpec], records: list[EvalRecord]) -> None:
+    for b in range(1, config.b_max + 1):
+        predicted = None
+        if b > 1:
+            blocks = canonical_blocks(b)
+            _emit(
+                writer,
+                event="expand",
+                level=b,
+                cell_key=None,
+                value={"raw": len(beam) * (b + 1) * (b + 1) * 64, "unique": len(beam) * len(blocks)},
+                seed=config.seed,
+            )
+
+            scores = score_children(surrogate, np.asarray(beam), np.asarray(blocks), config.chunk_size)
+            best = top_children(scores, beam, blocks, config.beam_size)
+
+            predicted = {key: -neg for neg, key, _ in best}
+            for key in sorted(predicted):
+                _emit(writer, event="predict", level=b, cell_key=key, value=predicted[key], seed=config.seed)
+            for rank, (_, key, _) in enumerate(best, start=1):
+                _emit(writer, event="select", level=b, cell_key=key, value=rank, seed=config.seed)
+            beam = sorted((cell for _, _, cell in best), key=cell_key)
+
+        records = _evaluate(evaluator, beam, b, config.epochs, plan, eval_seed, writer)
         # failed evaluations keep their budget slot but never train the surrogate
         all_records.extend(records)
-        for cell, rec in zip(cells, records):
+        for cell, rec in zip(beam, records):
             if rec.ok:
                 train_cells.append(cell)
                 train_accs.append(rec.accuracy)
-
-    records = _evaluate(evaluator, beam, 1, config.epochs, plan, eval_seed, writer)
-    absorb(beam, records)
-    _check_some_succeeded(records, 1)
-    snapshot = surrogate.update(train_cells, np.asarray(train_accs), 1)
-    _emit(writer, event="fit", level=1, cell_key=None, value=snapshot, seed=predictor_seed)
-    levels.append(_level_result(1, records, None))
-
-    for b in range(2, config.b_max + 1):
-        blocks = canonical_blocks(b)
-        _emit(
-            writer,
-            event="expand",
-            level=b,
-            cell_key=None,
-            value={"raw": len(beam) * (b + 1) * (b + 1) * 64, "unique": len(beam) * len(blocks)},
-            seed=config.seed,
-        )
-
-        scores = score_children(surrogate, np.asarray(beam), np.asarray(blocks), config.chunk_size)
-        best = top_children(scores, beam, blocks, config.beam_size)
-
-        predicted = {key: -neg for neg, key, _ in best}
-        for key in sorted(predicted):
-            _emit(writer, event="predict", level=b, cell_key=key, value=predicted[key], seed=config.seed)
-        for rank, (_, key, _) in enumerate(best, start=1):
-            _emit(writer, event="select", level=b, cell_key=key, value=rank, seed=config.seed)
-
-        beam = sorted((cell for _, _, cell in best), key=cell_key)
-        records = _evaluate(evaluator, beam, b, config.epochs, plan, eval_seed, writer)
-        absorb(beam, records)
         _check_some_succeeded(records, b)
         snapshot = surrogate.update(train_cells, np.asarray(train_accs), b)
         _emit(writer, event="fit", level=b, cell_key=None, value=snapshot, seed=predictor_seed)

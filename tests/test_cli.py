@@ -1,5 +1,6 @@
 """Command-line entry points, exit codes, and run-directory artifacts."""
 
+import fcntl
 import importlib
 import json
 import os
@@ -155,7 +156,7 @@ def test_search_run_directory_artifacts(tmp_path, capsys):
     assert len(best) == 3
     assert (out_dir / "graphs" / "best_b1.json").exists()
     assert (out_dir / "graphs" / "best_b2.json").exists()
-    assert not (out_dir / ".lock").exists()  # released on success
+    assert_unlocked(out_dir)  # released on success
 
 
 def test_search_reruns_are_byte_identical(tmp_path, capsys):
@@ -241,45 +242,114 @@ def test_load_config_file_strips_comments(tmp_path):
     assert load_config_file(str(cfg)) == {"seed": "5", "out": "runs/x"}
 
 
+def assert_unlocked(path):
+    """The run directory's lock was released: another open of it can take the lock at once."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
 def test_locked_run_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text(f"{os.getpid()}\n")  # a pid known to be alive
-    code, _, err = run(
-        capsys, "search", "-B", "2", "-K", "4", "--out", str(out_dir)
-    )
+    fd = os.open(out_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # as a running search holds it
+        code, _, err = run(capsys, "search", "-B", "2", "-K", "4", "--out", str(out_dir))
+    finally:
+        os.close(fd)
     assert code == 1
     assert "locked by another run" in err
+    assert not (out_dir / "manifest.json").exists()
 
 
-def test_lock_of_a_dead_run_is_reclaimed(tmp_path, capsys):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait(timeout=60)  # reaped, so its pid names no process
+HOLD_RUN_DIR = """
+import sys, time
+from pnas.cli import _run_dir
+
+with _run_dir(sys.argv[1], {}):
+    print("locked", flush=True)
+    time.sleep(600)
+"""
+
+
+def test_lock_of_a_killed_run_is_free(tmp_path, capsys):
     out_dir = tmp_path / "run"
-    out_dir.mkdir()
-    (out_dir / ".lock").write_text(f"{child.pid}\n")
-    (out_dir / ".lock.reclaim").write_text("")  # another run is reclaiming it
-    code, _, err = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
-    assert code == 1
-    assert "locked by another run" in err
-    (out_dir / ".lock.reclaim").unlink()
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_RUN_DIR, str(out_dir)], stdout=subprocess.PIPE, text=True, env=source_env()
+    )
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        code, _, err = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
+        assert code == 1
+        assert "locked by another run" in err
+    finally:
+        holder.kill()  # SIGKILL: the run gets no chance to release anything
+        holder.wait(timeout=60)
+        holder.stdout.close()
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "running"
     code, _, _ = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
     assert code == 0
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "completed"
-    assert not (out_dir / ".lock").exists()
-    assert not (out_dir / ".lock.reclaim").exists()
+    assert_unlocked(out_dir)
 
 
-def test_empty_lock_is_kept(tmp_path, capsys):
-    # its run may have created the lock and not yet written its pid
+HOLD_RUN_DIR_IN_WORKERS = """
+import sys, time
+import numpy as np
+from pnas.cli import _run_dir
+from pnas.predictors import fork_map
+
+def job(j):
+    time.sleep(2)
+    return np.zeros(100_000)  # more than a pipe holds: the send blocks until someone reads
+
+with _run_dir(sys.argv[1], {}):
+    print("locked", flush=True)
+    fork_map(job, range(2), workers=2)
+"""
+
+
+def test_workers_of_a_killed_run_let_its_lock_go(tmp_path):
+    # the forked workers inherit the lock; once their parent is gone, sending
+    # their results must fail and end them rather than block forever
+    out_dir = tmp_path / "run"
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_RUN_DIR_IN_WORKERS, str(out_dir)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=source_env(),
+    )
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        time.sleep(0.5)  # the workers are forked and sleeping
+    finally:
+        holder.kill()
+        holder.wait(timeout=60)
+        holder.stdout.close()
+    deadline = time.monotonic() + 20
+    while True:
+        try:
+            assert_unlocked(out_dir)
+            break
+        except BlockingIOError:
+            assert time.monotonic() < deadline, "the killed run's workers still hold its lock"
+            time.sleep(0.1)
+
+
+def test_leftover_lock_file_naming_a_live_pid_does_not_block(tmp_path, capsys):
+    # a pid-file lock from an older version; its pid is alive again, as pid 1
+    # is when a container restarts on the same run directory
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text("")
-    code, _, err = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
-    assert code == 1
-    assert "locked by another run" in err
-    assert (out_dir / ".lock").read_text() == ""
-    assert not (out_dir / ".lock.reclaim").exists()
+    (out_dir / ".lock").write_text(f"{os.getpid()}\n")
+    code, _, _ = run(capsys, "search", "-B", "1", "-K", "4", "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "completed"
+    assert_unlocked(out_dir)
 
 
 def test_tabular_backend_happy_and_missing(tmp_path, capsys):
@@ -309,7 +379,7 @@ def test_tabular_backend_happy_and_missing(tmp_path, capsys):
     assert "no entry for cell" in err
     manifest = json.loads((miss_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert not (miss_dir / ".lock").exists()  # released on failure too
+    assert_unlocked(miss_dir)  # released on failure too
 
 
 def test_tabular_backend_config_errors(tmp_path, capsys):
@@ -386,7 +456,7 @@ def test_run_without_successful_evaluation_exits_2(tmp_path, capsys, argv, evals
     events = read_trace(str(out_dir / "trace.jsonl"))
     assert [ev["event"] for ev in events] == ["eval"] * evals
     assert all(ev["error"] == "oom" and ev["value"] is None for ev in events)
-    assert not (out_dir / ".lock").exists()
+    assert_unlocked(out_dir)
 
 
 def test_external_backend_needs_worker_cmd(tmp_path, capsys):
@@ -531,7 +601,7 @@ def test_dead_fit_worker_exits_3_and_keeps_finished_levels(tmp_path):
     events = read_trace(str(out_dir / "trace.jsonl"))
     assert [ev["level"] for ev in events if ev["event"] == "fit"] == [1]
     assert [ev["level"] for ev in events if ev["event"] == "eval"] == [1] * 136 + [2] * 8
-    assert not (out_dir / ".lock").exists()
+    assert_unlocked(out_dir)
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 
@@ -543,7 +613,7 @@ def test_dead_harness_worker_exits_3(tmp_path):
     assert time.monotonic() - started < 60
     assert result.returncode == 3, result.stderr
     assert "a harness worker exited with code 7" in result.stderr
-    assert not (out_dir / ".lock").exists()
+    assert_unlocked(out_dir)
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
 
 

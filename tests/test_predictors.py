@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ def test_fork_map_stripes_jobs_over_workers_and_never_nests():
     assert not multiprocessing.active_children()
 
 
+def test_fork_map_notices_a_dead_worker_at_once():
+    def job(j):
+        if j == 0:
+            time.sleep(3)  # still busy when worker 1 dies
+        else:
+            os._exit(7)
+        return j
+
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="a fork_map worker exited with code 7"):
+        fork_map(job, range(2), workers=2)
+    assert time.monotonic() - started < 1.5
+    assert not multiprocessing.active_children()
+
+
 def test_ensemble_fit_raises_a_worker_exception_as_its_type(monkeypatch):
     cells, accs = train_batch(n=20)
     force_workers(monkeypatch, 2)
@@ -365,17 +381,6 @@ def test_rnn_predicts_id_arrays_like_cells():
     array = np.asarray(cells, dtype=np.int8)
     assert_same_tokens(RNNPredictor.encode(array), RNNPredictor.encode(cells))
     assert np.array_equal(model.predict(array), model.predict(cells))
-
-
-def test_token_batch_take_equals_encoding_the_subset():
-    rng = np.random.default_rng(9)
-    cells = [random_cell(b, rng) for b in (3, 1, 2, 3, 5, 1, 2) for _ in range(4)]
-    batch = RNNPredictor.encode(cells)
-    assert RNNPredictor.encode(batch) is batch
-    assert [len(cell) for cell in batch] == [len(cell) for cell in cells]
-    assert all(np.array_equal(got, want) for got, want in zip(batch, cells))
-    for index in (np.arange(0, 28, 3), [20, 2, 2, 11, 27, 0], np.setdiff1d(np.arange(28), [4, 9, 13])):
-        assert_same_tokens(RNNPredictor.take(batch, index), RNNPredictor.encode([cells[j] for j in index]))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
