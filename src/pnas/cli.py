@@ -38,6 +38,7 @@ from .evaluators import (
 )
 from .harness import HarnessConfig, predictor_harness
 from .network import STEM_KINDS, BuildError, StackPlan, build_network, export_graph
+from .predictors import _BLAS_PINNED
 from .search import (
     PREDICTOR_KINDS,
     SearchConfig,
@@ -169,6 +170,7 @@ def _versions() -> dict:
         "package": __version__,
         "numpy": np.__version__,
         "python": ".".join(str(part) for part in sys.version_info[:3]),
+        "blas_pinned": _BLAS_PINNED,  # BLAS runs one thread, whatever the thread variables say
     }
 
 

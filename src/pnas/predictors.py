@@ -70,18 +70,21 @@ gradient vector (laid out the same way), Adam's m and v and two scratch
 vectors once, and Adam makes its passes in place over the whole vector.
 The MLP's training pass writes its activations and (n, h) temporaries
 through ``out=`` into buffers sized once per fit, so an epoch allocates
-only vectors of length n. Outside a fit, ``loss_and_grads`` allocates a
-fresh gradient vector.
+only vectors of length n. ``fit`` hands that workspace to
+``loss_and_grads``; called without one, it allocates a fresh one.
 
-``fork_map`` maps a function over jobs in min(jobs, usable CPUs / BLAS
-threads) forked worker processes, which share the parent's pages; each
-sends back its results through a pipe, and they are returned in job
-order. ``ensemble_fit`` fits its members through it, and so does the
-rank-correlation harness (``pnas.harness``) with its independent fits. A
-member's fit reads only its config, rows, targets and level, and the
-vectors are loaded in member order, so the ensemble and everything
-computed from it are bit-identical whatever the worker count. Scoring
-stays in the calling process.
+Importing this module pins numpy's BLAS to one thread for the whole
+process (``_pin_blas``), so every fit and score runs the same kernels
+whatever the host's thread settings. ``fork_map`` maps a function over
+jobs in min(jobs, usable CPUs) forked worker processes, which share the
+parent's pages and inherit the pin; each sends back its results through
+a pipe, and they are returned in job order. ``ensemble_fit`` fits its
+members through it, and so does the rank-correlation harness
+(``pnas.harness``) with its independent fits. A member's fit reads only
+its config, rows, targets and level, and the vectors are loaded in
+member order, so the ensemble and everything computed from it are
+bit-identical whatever the worker count. Scoring stays in the calling
+process.
 
 All arithmetic is float64 and every weight is reachable by
 ``gradient_check``, which compares the analytic gradient of the full
@@ -90,6 +93,7 @@ L1 + sigmoid pipeline against central finite differences.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
@@ -130,6 +134,27 @@ def _fraction_table() -> np.ndarray:
 
 
 _FRACTIONS = _fraction_table()
+
+
+# thread-count setters of numpy's bundled OpenBLAS, a system OpenBLAS (64-bit, then 32-bit ints) and MKL
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads", "MKL_Set_Num_Threads")
+
+
+def _pin_blas() -> bool:
+    """Set numpy's BLAS to one thread; False when no known setter is found.
+
+    A dlsym on numpy's linear-algebra extension also searches the BLAS
+    library it links, so one handle finds whichever setter that library has.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in BLAS_SETTERS:
+        if hasattr(lib, name):
+            getattr(lib, name)(1)
+            return True
+    return False
+
+
+_BLAS_PINNED = _pin_blas()
 
 
 @dataclass(frozen=True)
@@ -304,7 +329,6 @@ class Predictor:
         self._shapes = [(key, value.shape) for key, value in params.items()]
         self.flat = np.concatenate([value.ravel() for value in params.values()])
         self.params = self._views(self.flat)
-        self._work = None  # the running fit's workspace
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a vector laid out like `flat`: one per parameter, in init order."""
@@ -351,7 +375,8 @@ class Predictor:
         batch, inverse = self.distinct(cells)
         return self._scores(batch)[inverse]
 
-    def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
+        """L1 loss and its gradients, written into `work` (a `_workspace`), or a fresh one when None."""
         raise NotImplementedError
 
     def fit(self, cells, accuracies, level: int) -> np.ndarray:
@@ -371,21 +396,11 @@ class Predictor:
         batch = self.encode(cells)
         optimizer = _Adam(self.flat, self.config.lr(level))
         history = np.empty(self.config.epochs(level))
-        self._work = self._workspace(len(batch))
-        try:
-            for epoch in range(len(history)):
-                history[epoch], _ = self.loss_and_grads(batch, targets)
-                optimizer.step(self._work.grad)
-        finally:
-            self._work = None
+        work = self._workspace(len(batch))
+        for epoch in range(len(history)):
+            history[epoch], _ = self.loss_and_grads(batch, targets, work)
+            optimizer.step(work.grad)
         return history
-
-    def _zero_grads(self) -> dict[str, np.ndarray]:
-        """Zeroed gradient views: the running fit's, or a fresh vector's outside a fit."""
-        if self._work is None:
-            return self._views(np.zeros_like(self.flat))
-        self._work.grad.fill(0.0)
-        return self._work.grads
 
 
 class MLPPredictor(Predictor):
@@ -488,10 +503,10 @@ class MLPPredictor(Predictor):
             probs[start : start + SCORE_ROWS] = self._forward(SlotCounts(batch.matrix[start : start + SCORE_ROWS]))[0]
         return probs
 
-    def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        """L1 loss and its gradients; (n, h) temporaries go into the fit's workspace through ``out=``."""
+    def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
+        """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``."""
         counts = self.encode(cells)
-        work = self._work or self._workspace(len(counts))
+        work = work or self._workspace(len(counts))
         probs, hidden = self._forward(counts, work)
         residual = probs - targets
         loss = float(np.mean(np.abs(residual)))
@@ -617,7 +632,7 @@ class RNNPredictor(Predictor):
             out[rows] = self._output(h_last)
         return out
 
-    def loss_and_grads(self, cells, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; only dh = da @ W_h^T runs inside the backward time loop.
 
         Each step's gate gradient da replaces its gates. After the loop, W_h
@@ -631,7 +646,9 @@ class RNNPredictor(Predictor):
         d, hd = self.config.embed_dim, self.config.hidden
         projections = self._projections()
         proj, wh = projections
-        grads = self._zero_grads()
+        work = work or self._workspace(n)
+        work.grad.fill(0.0)
+        grads = work.grads
         d_proj = np.zeros_like(proj)
         loss = 0.0
         for rows, tokens in batch.groups:
@@ -704,33 +721,37 @@ _IN_WORKER = False  # set in a fork_map worker, whose own fork_map calls then ru
 
 
 def _free_cpus() -> int:
-    """Usable CPUs over the BLAS threads each process runs: the most fit workers the host takes.
+    """The most fit workers the host takes: the usable CPUs, each running one BLAS thread.
 
-    The BLAS thread count comes from the first of OPENBLAS_NUM_THREADS,
-    MKL_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer, as
-    BLAS reads them when it loads; unset, BLAS runs a thread per usable
-    CPU. More workers would oversubscribe the CPUs: with 2 BLAS threads on
-    2 CPUs, 2 workers made a B=5, K=64 search 4.6 times slower than fitting
-    in this process.
+    When the BLAS pin found no setter, BLAS may run a thread per CPU, and
+    workers would oversubscribe the CPUs (with 2 BLAS threads on 2 CPUs, 2
+    workers made a B=5, K=64 search 4.6 times slower than fitting in this
+    process), so the fits stay in this process.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
+    if not _BLAS_PINNED:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fork_worker(conn, readers: list, fn, jobs: list, label: str) -> None:
+def _fork_worker(conn, readers: list, fn, jobs: list, label: str, parent: int) -> None:
     """Body of a fork_map worker: send the results of its jobs, or the first exception.
 
-    It first closes the pipe read ends it inherited, its own among them.
-    Once the parent is gone no process can read its pipe, so the send fails
-    and the worker exits, instead of blocking forever on a full pipe while
-    it holds whatever the parent had open, such as the run directory's lock.
+    On Linux it asks the kernel for SIGKILL when `parent` (the forking
+    process) dies, and exits at once if that has already happened, so a
+    killed run does not leave workers fitting for no one while they hold
+    whatever the parent had open, such as the run directory's lock. It
+    also closes the pipe read ends it inherited, its own among them: once
+    the parent is gone no process can read its pipe, so the send fails and
+    the worker exits instead of blocking forever on a full pipe. That is
+    the only guard where there is no prctl.
     """
     global _IN_WORKER
     _IN_WORKER = True
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+        if os.getppid() != parent:
+            os._exit(1)
     for reader in readers:
         reader.close()
     try:
@@ -774,7 +795,7 @@ def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map work
         for w in range(workers):
             receiver, sender = context.Pipe(duplex=False)
             readers = [receiver, *(r for _, r in started)]
-            proc = context.Process(target=_fork_worker, args=(sender, readers, fn, jobs[w::workers], label))
+            proc = context.Process(target=_fork_worker, args=(sender, readers, fn, jobs[w::workers], label, os.getpid()))
             proc.start()
             sender.close()
             started.append((proc, receiver))
@@ -812,7 +833,7 @@ def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ense
 
     The members fit through `fork_map`, in min(ENSEMBLE_SIZE,
     `_free_cpus()`) forked processes that share the parent's pages and its
-    BLAS thread count. Each fit depends only on its member's config, rows,
+    one-thread BLAS pin. Each fit depends only on its member's config, rows,
     targets and level, and the trained parameters are loaded in member
     order, so the ensemble is bit-identical whatever the worker count.
     """

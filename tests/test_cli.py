@@ -17,6 +17,7 @@ import pnas
 from pnas.cells import one_block_cells
 from pnas.cli import load_config_file, main
 from pnas.evaluators import SyntheticOracle, write_table
+from pnas.predictors import _BLAS_PINNED
 from pnas.search import EXAMPLES_PER_EPOCH, plan_budget
 from pnas.traceio import read_trace
 
@@ -139,6 +140,7 @@ def test_search_run_directory_artifacts(tmp_path, capsys):
     assert manifest["config"]["beam_size"] == 8
     assert manifest["seeds"]["master"] == 3
     assert manifest["finished_utc"] is not None
+    assert manifest["versions"]["blas_pinned"] is _BLAS_PINNED
 
     events = read_trace(str(out_dir / "trace.jsonl"))
     kinds = [ev["event"] for ev in events]
@@ -337,6 +339,38 @@ def test_workers_of_a_killed_run_let_its_lock_go(tmp_path):
             break
         except BlockingIOError:
             assert time.monotonic() < deadline, "the killed run's workers still hold its lock"
+            time.sleep(0.1)
+
+
+HOLD_RUN_DIR_IN_LONG_JOBS = HOLD_RUN_DIR_IN_WORKERS.replace("time.sleep(2)", "time.sleep(60)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the parent-death signal is Linux only")
+def test_workers_of_a_killed_run_die_with_it(tmp_path):
+    # the kernel kills the workers with their parent, so the lock goes free
+    # long before the job under way could end and find no reader
+    out_dir = tmp_path / "run"
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_RUN_DIR_IN_LONG_JOBS, str(out_dir)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=source_env(),
+    )
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        time.sleep(0.5)  # the workers are forked and sleeping
+    finally:
+        holder.kill()
+        holder.wait(timeout=60)
+        holder.stdout.close()
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            assert_unlocked(out_dir)
+            break
+        except BlockingIOError:
+            assert time.monotonic() < deadline, "the killed run's workers outlived it"
             time.sleep(0.1)
 
 
@@ -593,8 +627,7 @@ def test_dead_fit_worker_exits_3_and_keeps_finished_levels(tmp_path):
     out_dir = tmp_path / "run"
     argv = ["search", "-B", "3", "-K", "8", "--predictor", "mlp-ens", "--out", str(out_dir)]
     started = time.monotonic()
-    env = dict(source_env(), OPENBLAS_NUM_THREADS="1")  # two workers with a BLAS thread each
-    result = subprocess.run([sys.executable, "-c", DYING_FIT, *argv], capture_output=True, text=True, timeout=120, env=env)
+    result = subprocess.run([sys.executable, "-c", DYING_FIT, *argv], capture_output=True, text=True, timeout=120, env=source_env())
     assert time.monotonic() - started < 60
     assert result.returncode == 3, result.stderr
     assert "ensemble fit worker exited with code 7" in result.stderr
@@ -603,6 +636,20 @@ def test_dead_fit_worker_exits_3_and_keeps_finished_levels(tmp_path):
     assert [ev["level"] for ev in events if ev["event"] == "eval"] == [1] * 136 + [2] * 8
     assert_unlocked(out_dir)
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.skipif(not _BLAS_PINNED, reason="no known BLAS thread setter: BLAS follows the thread variables")
+def test_search_trace_does_not_depend_on_blas_thread_variables(tmp_path):
+    traces = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in source_env().items() if not k.endswith("_NUM_THREADS")}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out_dir = tmp_path / f"run-{threads}"
+        argv = ["search", "-B", "3", "-K", "16", "--predictor", "mlp-ens", "--out", str(out_dir)]
+        subprocess.run([sys.executable, "-m", "pnas", *argv], capture_output=True, timeout=120, env=env, check=True)
+        traces.append((out_dir / "trace.jsonl").read_bytes())
+    assert traces[0] == traces[1] == traces[2]
 
 
 def test_dead_harness_worker_exits_3(tmp_path):

@@ -194,18 +194,19 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch):
         monkeypatch.undo()
 
 
-def test_free_cpus_leave_room_for_blas_threads(monkeypatch):
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
+def test_free_cpus_count_usable_cpus_when_blas_is_pinned(monkeypatch):
+    monkeypatch.setattr("pnas.predictors._BLAS_PINNED", True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    assert _free_cpus() == 1  # unset, BLAS runs a thread per CPU
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert _free_cpus() == 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read first
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # no thread variable is read
     assert _free_cpus() == 4
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
-    monkeypatch.setenv("MKL_NUM_THREADS", "2")
-    assert _free_cpus() == 2
+
+
+def test_free_cpus_is_one_when_blas_is_not_pinned(monkeypatch):
+    # without the pin BLAS may run a thread per CPU, and workers would oversubscribe them
+    monkeypatch.setattr("pnas.predictors._BLAS_PINNED", False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert _free_cpus() == 1
 
 
 def force_workers(monkeypatch, workers):
