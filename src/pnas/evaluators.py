@@ -170,13 +170,14 @@ class SyntheticOracle:
         rng = np.random.default_rng(derive_seed(seed, "noise", key))
         return float(rng.normal(0.0, self.config.noise_sigma))
 
-    def noisy_accuracy(self, cell: CellSpec, seed: int) -> float:
-        key = cell_key(cell)
-        return float(np.clip(self.score(cell) + self.noise(key, seed), 0.0, 1.0))
+    def noisy_accuracy(self, cell: CellSpec, seed: int, key: str | None = None) -> float:
+        """Score plus noise, clipped to [0, 1]; `key` is the cell's key when the caller has built it."""
+        return min(max(self.score(cell) + self.noise(key or cell_key(cell), seed), 0.0), 1.0)
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
         seed = request.seed
-        return [EvalRecord(cell_key(cell), self.noisy_accuracy(cell, seed), seed) for cell in request.cells]
+        keys = [cell_key(cell) for cell in request.cells]
+        return [EvalRecord(key, self.noisy_accuracy(cell, seed, key), seed) for cell, key in zip(request.cells, keys)]
 
 
 TABLE_HEADER = ("cell_key", "seed", "accuracy")

@@ -56,7 +56,13 @@ the vocabulary collects ``dP = onehot(rows).T @ da``, which gives
 ``E.T @ dP`` for ``W_x`` and ``dP @ W_x.T`` for the embeddings.
 Prediction keeps only the latest step's state, and runs each length group
 in near-equal blocks of at most ``SCORE_ROWS`` rows, so the memory of
-scoring does not grow with the batch.
+scoring does not grow with the batch. Every LSTM step, forward and
+backward, writes through ``out=`` into buffers made before the time loop.
+A forward step makes one contiguous ``_sigmoid`` call over all four gates
+(g's tanh is staged and put back), in place with one division and no
+mask, and allocates only its z >= 0 mask; a backward step forms each
+gate's gradient and multiplies all four by their activations'
+derivatives at once, and allocates nothing.
 
 Both train with L1 loss (subgradient 0 at the kink) under full-batch
 Adam, learning rate 0.01 at level 1 and 0.002 afterwards. The output
@@ -70,8 +76,12 @@ gradient vector (laid out the same way), Adam's m and v and two scratch
 vectors once, and Adam makes its passes in place over the whole vector.
 The MLP's training pass writes its activations and (n, h) temporaries
 through ``out=`` into buffers sized once per fit, so an epoch allocates
-only vectors of length n. ``fit`` hands that workspace to
-``loss_and_grads``; called without one, it allocates a fresh one.
+only vectors of length n. The LSTM's workspace holds one set of flat
+step-state and backward buffers, sized for the batch's largest length
+group; each group runs in views of their leading elements, so a
+mixed-length batch holds the largest group's states, not their sum.
+``fit`` hands that workspace to ``loss_and_grads``; called without one,
+it allocates a fresh one.
 
 Importing this module pins numpy's BLAS to one thread for the whole
 process (``_pin_blas``), so every fit and score runs the same kernels
@@ -122,6 +132,7 @@ SLOT_WIDTH = sum(SLOT_VOCABS)
 # the LSTM stacks both tables into one vocabulary, operators after inputs;
 # step t of a cell reads row token + STEP_ROWS[t] of it
 STEP_ROWS = np.tile([0, 0, INPUT_VOCAB, INPUT_VOCAB], B_MAX)
+STEP_VOCAB = np.arange(INPUT_VOCAB + OP_VOCAB)
 
 
 def _fraction_table() -> np.ndarray:
@@ -264,20 +275,24 @@ class TokenBatch:
         return iter(cells)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, without masks.
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, without masks or branches.
 
-    Bit-equal to evaluating each branch on its own elements: exp(min(z, -z))
-    is exp(-z) or exp(z) as the branch needs, and keeps a NaN's sign bit.
-    Works in place on two temporaries, since the LSTM runs it on every step.
+    Bit-equal to evaluating each branch on its own elements: e = exp(min(z,
+    -z)) is exp(-z) or exp(z) as the branch needs, and keeps a NaN's sign
+    bit. The numerator max(e, z >= 0) is 1 where z >= 0 (there e <= 1) and
+    e below, so one division serves both branches. The denominator 1 + e
+    and then the result go into `out` when given, which may be `z` itself:
+    the LSTM writes its gates in place on every step. Temporaries: the
+    z >= 0 mask, and e unless `scratch` (shaped like z) is given to hold it.
     """
-    e = np.minimum(z, -z)
+    positive = z >= 0
+    e = np.negative(z, out=scratch)
+    np.minimum(z, e, out=e)
     np.exp(e, out=e)
-    d = e + 1.0
-    e /= d
-    np.divide(1.0, d, out=d)
-    np.copyto(e, d, where=z >= 0)
-    return e
+    d = np.add(e, 1.0, out=out)
+    np.maximum(e, positive, out=e)
+    return np.divide(e, d, out=d)
 
 
 class _Adam:
@@ -339,14 +354,14 @@ class Predictor:
             start += size
         return views
 
-    def _buffers(self, n: int) -> dict[str, np.ndarray]:
-        """Temporaries a training pass over n rows writes into; none by default."""
+    def _buffers(self, batch) -> dict[str, np.ndarray]:
+        """Temporaries a training pass over an encoded batch writes into; none by default."""
         return {}
 
-    def _workspace(self, n: int) -> SimpleNamespace:
-        """What a training pass over n rows writes: the gradient vector, its named views, the temporaries."""
+    def _workspace(self, batch) -> SimpleNamespace:
+        """What a training pass over an encoded batch writes: the gradient vector, its named views, the temporaries."""
         grad = np.zeros_like(self.flat)
-        return SimpleNamespace(grad=grad, grads=self._views(grad), **self._buffers(n))
+        return SimpleNamespace(grad=grad, grads=self._views(grad), **self._buffers(batch))
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -396,7 +411,7 @@ class Predictor:
         batch = self.encode(cells)
         optimizer = _Adam(self.flat, self.config.lr(level))
         history = np.empty(self.config.epochs(level))
-        work = self._workspace(len(batch))
+        work = self._workspace(batch)
         for epoch in range(len(history)):
             history[epoch], _ = self.loss_and_grads(batch, targets, work)
             optimizer.step(work.grad)
@@ -464,8 +479,8 @@ class MLPPredictor(Predictor):
             "z": np.empty(n),
         }
 
-    def _buffers(self, n: int) -> dict[str, np.ndarray]:
-        h = self.config.hidden
+    def _buffers(self, batch: SlotCounts) -> dict[str, np.ndarray]:
+        n, h = len(batch), self.config.hidden
         return {
             **self._forward_buffers(n),
             "dh": np.empty((n, h)),
@@ -506,7 +521,7 @@ class MLPPredictor(Predictor):
     def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``."""
         counts = self.encode(cells)
-        work = work or self._workspace(len(counts))
+        work = work or self._workspace(counts)
         probs, hidden = self._forward(counts, work)
         residual = probs - targets
         loss = float(np.mean(np.abs(residual)))
@@ -573,38 +588,86 @@ class RNNPredictor(Predictor):
         vocab = np.vstack([p["embed_in"], p["embed_op"]])
         return vocab @ p["w"][: self.config.embed_dim], p["w"][self.config.embed_dim :]
 
-    def _run(self, vocab_rows: np.ndarray, projections, keep: bool = False):
+    def _state_buffers(self, rows: int, kept: int, states: int) -> dict[str, np.ndarray]:
+        """Flat buffers for `kept` (step, row) pairs of gates and tanh_c, and `states` of h and c.
+
+        A pass over m rows takes views of their leading elements.
+        ``scratch`` holds (m, 4h) values a step uses and drops: its gathered
+        input term, the sigmoid's exponentials, and in the backward pass
+        each gate's gradient before its activation's derivative.
+        """
+        hd = self.config.hidden
+        return {
+            "gates": np.empty(kept * 4 * hd),
+            "tanh_c": np.empty(kept * hd),
+            "h": np.empty(states * hd),
+            "c": np.empty(states * hd),
+            "scratch": np.empty(rows * 4 * hd),
+        }
+
+    def _buffers(self, batch: TokenBatch) -> dict[str, np.ndarray]:
+        """One training pass's buffers, sized for the batch's largest length group.
+
+        Every group works in views of their leading elements, so a
+        mixed-length batch holds the largest group's states, not their sum.
+        """
+        hd = self.config.hidden
+        rows = max(len(group_rows) for group_rows, _ in batch.groups)
+        kept = max(tokens.size for _, tokens in batch.groups)
+        states = max(tokens.size + len(group_rows) for group_rows, tokens in batch.groups)
+        return {
+            **self._state_buffers(rows, kept, states),
+            **{name: np.empty(rows * hd) for name in ("dh", "dc", "s1", "s2")},
+            "onehot": np.empty(len(STEP_VOCAB) * kept),
+            "d_wh": np.empty((hd, 4 * hd)),
+            "d_proj": np.empty((len(STEP_VOCAB), 4 * hd)),
+            "d_part": np.empty((len(STEP_VOCAB), 4 * hd)),
+        }
+
+    def _run(self, vocab_rows: np.ndarray, projections, work=None):
         """Final hidden state over equal-length cells, given as (m, 4b) vocabulary rows, and the states.
 
-        Step t gathers its input term from the projected vocabulary. States
-        are indexed by step modulo their depth: with `keep`, every step's,
-        that is ``gates[t]`` (activated i, f, g, o), ``tanh_c[t]``, and
-        ``h[t]``, ``c[t]``, the state step t starts from (``h[4b]`` is the
-        final one); without, only the last step's, so memory does not grow
-        with the cell length.
+        Step t gathers its input term from the projected vocabulary. In a
+        training workspace `work`, every step's states are kept: ``gates[t]``
+        (activated i, f, g, o), ``tanh_c[t]``, and ``h[t]``, ``c[t]``, the
+        state step t starts from (``h[4b]`` is the final one). Without one,
+        fresh buffers hold one step, and h and c are updated in place, so
+        memory does not grow with the cell length. Every step writes
+        through ``out=`` and allocates only the sigmoid's z >= 0 mask.
         """
         proj, wh = projections
         hd = self.config.hidden
         m, steps = vocab_rows.shape
-        depth = steps + 1 if keep else 2
-        gates = np.empty((depth - 1, m, 4 * hd))
-        tanh_c = np.empty((depth - 1, m, hd))
-        h = np.zeros((depth, m, hd))
-        c = np.zeros((depth, m, hd))
+        kept, depth = (steps, steps + 1) if work is not None else (1, 1)
+        if work is None:
+            work = SimpleNamespace(**self._state_buffers(m, m, m))
+        gates = work.gates[: kept * m * 4 * hd].reshape(kept, m, 4 * hd)
+        tanh_c = work.tanh_c[: kept * m * hd].reshape(kept, m, hd)
+        h = work.h[: depth * m * hd].reshape(depth, m, hd)
+        c = work.c[: depth * m * hd].reshape(depth, m, hd)
+        scratch = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
+        h[0] = 0.0
+        c[0] = 0.0
+        # the rows were range-checked at encoding, and mode="clip" spares np.take a buffered copy
         for t in range(steps):
-            now, nxt, k = t % depth, (t + 1) % depth, t % (depth - 1)
+            now, nxt, k = t % depth, (t + 1) % depth, t % kept
             a = gates[k]
             if t:
                 np.matmul(h[now], wh, out=a)
-                a += proj[vocab_rows[:, t]]
+                np.take(proj, vocab_rows[:, t], axis=0, out=scratch, mode="clip")
+                a += scratch
             else:
-                a[...] = proj[vocab_rows[:, 0]]
+                np.take(proj, vocab_rows[:, 0], axis=0, out=a, mode="clip")
             a += self.params["b"]
-            a[:, : 2 * hd] = _sigmoid(a[:, : 2 * hd])
-            np.tanh(a[:, 2 * hd : 3 * hd], out=a[:, 2 * hd : 3 * hd])
-            a[:, 3 * hd :] = _sigmoid(a[:, 3 * hd :])
             i, f, g, o = (a[:, j * hd : (j + 1) * hd] for j in range(4))
-            np.add(f * c[now], i * g, out=c[nxt])
+            # one contiguous sigmoid over all four gates, g's tanh staged in tanh_c[k] and put back
+            np.tanh(g, out=tanh_c[k])
+            _sigmoid(a, out=a, scratch=scratch)
+            g[...] = tanh_c[k]
+            # c[t + 1] = f * c[t] + i * g, with i * g staged in tanh_c[k]
+            np.multiply(f, c[now], out=c[nxt])
+            np.multiply(i, g, out=tanh_c[k])
+            c[nxt] += tanh_c[k]
             np.tanh(c[nxt], out=tanh_c[k])
             np.multiply(o, tanh_c[k], out=h[nxt])
         return h[steps % depth], (gates, tanh_c, h, c)
@@ -646,43 +709,58 @@ class RNNPredictor(Predictor):
         d, hd = self.config.embed_dim, self.config.hidden
         projections = self._projections()
         proj, wh = projections
-        work = work or self._workspace(n)
+        work = work or self._workspace(batch)
         work.grad.fill(0.0)
         grads = work.grads
-        d_proj = np.zeros_like(proj)
+        d_proj = work.d_proj
+        d_proj.fill(0.0)
         loss = 0.0
         for rows, tokens in batch.groups:
             m, steps = tokens.shape
             vocab_rows = tokens + STEP_ROWS[:steps]
-            h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, keep=True)
+            h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, work)
             probs = self._output(h_last)
             residual = probs - targets[rows]
             loss += float(np.sum(np.abs(residual)))
             dz = np.sign(residual) / n * probs * (1.0 - probs)
             grads["w_out"] += h_last.T @ dz
             grads["b_out"] += dz.sum()
-            dh = np.outer(dz, p["w_out"])
-            dc = np.zeros_like(dh)
+            dh, dc, s1, s2 = (buf[: m * hd].reshape(m, hd) for buf in (work.dh, work.dc, work.s1, work.s2))
+            lead = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
+            lead_i, lead_f, lead_g, lead_o = (lead[:, j * hd : (j + 1) * hd] for j in range(4))
+            np.multiply(dz[:, None], p["w_out"], out=dh)
+            dc.fill(0.0)
             for t in reversed(range(steps)):
                 a = gates[t]
                 i, f, g, o = (a[:, j * hd : (j + 1) * hd] for j in range(4))
-                do = dh * tanh_c[t]
-                dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
-                di, df, dg = dc * g, dc * c[t], dc * i
-                dc = dc * f
-                # each gate's activation gives way to the gradient of its pre-activation
-                np.multiply(di * i, 1.0 - i, out=i)
-                np.multiply(df * f, 1.0 - f, out=f)
-                np.multiply(dg, 1.0 - g**2, out=g)
-                np.multiply(do * o, 1.0 - o, out=o)
+                # dc += dh * o * (1 - tanh_c^2)
+                np.multiply(dh, o, out=s1)
+                np.multiply(tanh_c[t], tanh_c[t], out=s2)
+                np.subtract(1.0, s2, out=s2)
+                s1 *= s2
+                dc += s1
+                # each gate's gradient, then times its activation's derivative over all four gates at once:
+                # dc * g * i by 1 - i, dc * c[t] * f by 1 - f, dc * i by 1 - g^2 and dh * tanh_c * o by 1 - o
+                np.multiply(dc, g, out=lead_i)
+                lead_i *= i
+                np.multiply(dc, c[t], out=lead_f)
+                lead_f *= f
+                np.multiply(dc, i, out=lead_g)
+                np.multiply(dh, tanh_c[t], out=lead_o)
+                lead_o *= o
+                dc *= f
+                g *= g
+                np.subtract(1.0, a, out=a)
+                a *= lead
                 if t:
-                    dh = a @ wh.T
+                    np.matmul(a, wh.T, out=dh)
             da = gates.reshape(steps * m, 4 * hd)
             # step 0 starts from h = 0, so it adds nothing to W_h's gradient
-            grads["w"][d:] += h[1:steps].reshape(-1, hd).T @ da[m:]
+            grads["w"][d:] += np.matmul(h[1:steps].reshape(-1, hd).T, da[m:], out=work.d_wh)
             grads["b"] += da.sum(axis=0)
-            onehot = np.arange(len(proj))[:, None] == vocab_rows.T.reshape(-1)
-            d_proj += onehot.astype(float) @ da
+            onehot = work.onehot[: len(proj) * steps * m].reshape(len(proj), steps * m)
+            np.equal(STEP_VOCAB[:, None], vocab_rows.T.reshape(-1), out=onehot)
+            d_proj += np.matmul(onehot, da, out=work.d_part)
         vocab = np.vstack([p["embed_in"], p["embed_op"]])
         grads["w"][:d] = vocab.T @ d_proj
         d_vocab = d_proj @ p["w"][:d].T

@@ -309,6 +309,38 @@ def test_sigmoid_bit_equal_to_masked_branches():
         z = gates[:, cols]
         assert not z.flags.c_contiguous
         assert np.array_equal(_sigmoid(z).view(np.int64), masked_sigmoid(z).view(np.int64))
+    for cols in (slice(0, 200), slice(300, 400), slice(1, 400, 3)):
+        inplace = gates.copy()
+        z = inplace[:, cols]
+        want = masked_sigmoid(z)
+        assert _sigmoid(z, out=z) is z
+        assert np.array_equal(z.view(np.int64), want.view(np.int64))
+        outside = np.ones(gates.shape, dtype=bool)
+        outside[:, cols] = False
+        assert np.array_equal(inplace[outside].view(np.int64), gates[outside].view(np.int64))
+        target = np.zeros((64, 2 * gates.shape[1]))[:, ::2][:, cols]
+        assert _sigmoid(gates[:, cols], out=target) is target
+        assert np.array_equal(target.view(np.int64), want.view(np.int64))
+    whole = gates.copy()  # all four gates at once, e held in a scratch array, as the LSTM step runs it
+    assert _sigmoid(whole, out=whole, scratch=np.empty_like(whole)) is whole
+    assert np.array_equal(whole.view(np.int64), masked_sigmoid(gates).view(np.int64))
+
+
+def test_lstm_workspace_reused_across_length_mixes():
+    rng = np.random.default_rng(9)
+    first = [random_cell(b, rng) for b in (3, 1, 3)]
+    second = [random_cell(b, rng) for b in (2, 5)]
+    targets = rng.uniform(0.3, 0.95, size=5)
+    model = new_predictor(small_config("rnn", seed=4))
+    model.fit(first + second, targets, level=1)  # move every weight off its initial value
+    work = model._workspace(RNNPredictor.encode(first))
+    for cells, target in ((first, targets[:3]), (second, targets[3:]), (first, targets[:3])):
+        loss, grads = model.loss_and_grads(cells, target, work)
+        grads = {key: value.copy() for key, value in grads.items()}
+        fresh_loss, fresh_grads = model.loss_and_grads(cells, target)
+        assert loss == fresh_loss
+        for key in fresh_grads:
+            assert np.array_equal(grads[key], fresh_grads[key]), key
 
 
 def unfactored_lstm(model, cells, targets):
