@@ -36,7 +36,7 @@ from .evaluators import (
     TableParseError,
     TabularEvaluator,
 )
-from .harness import HarnessConfig, predictor_harness
+from .harness import HarnessConfig, harness_seeds, predictor_harness
 from .network import STEM_KINDS, BuildError, StackPlan, build_network, export_graph
 from .predictors import _BLAS_PINNED
 from .search import (
@@ -46,9 +46,9 @@ from .search import (
     plan_budget,
     pnas_search,
     random_search,
+    search_seeds,
     top_m_table,
 )
-from .seeding import derive_seed
 from .traceio import TraceWriter, write_json, write_summary_csv
 
 
@@ -237,12 +237,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "config": asdict(config),
         "count": count if opts["strategy"] == "random" else None,
         "evaluator": evaluator_entry,
-        "seeds": {
-            "master": config.seed,
-            "eval": derive_seed(config.seed, "eval"),
-            "predictor": derive_seed(config.seed, "predictor"),
-            "random_search": derive_seed(config.seed, "random-search"),
-        },
+        "seeds": search_seeds(config.seed),
         "versions": _versions(),
         "outputs": {
             "trace": "trace.jsonl",
@@ -328,11 +323,7 @@ def cmd_harness(args: argparse.Namespace) -> int:
         "command": "harness",
         "config": asdict(config),
         "evaluator": evaluator_entry,
-        "seeds": {
-            "master": config.seed,
-            "eval": derive_seed(config.seed, "eval"),
-            "pools": {b: derive_seed(config.seed, "pool", b) for b in range(2, config.b_max + 1)},
-        },
+        "seeds": harness_seeds(config),
         "versions": _versions(),
         "outputs": {"summary": "summary.csv", "report": "report.json"},
     }

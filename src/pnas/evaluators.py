@@ -7,6 +7,11 @@ functions of (request, backend configuration): repeated calls reproduce
 identical accuracies, which is what makes traces replayable and backends
 interchangeable.
 
+The synthetic oracle has fixed weights: a cell scores
+sigmoid(``ORACLE_BIAS`` + ``ORACLE_WEIGHTS`` . ``cell_features(cell)``),
+plus seeded noise whose standard deviation, ``noise_sigma``, is its only
+setting.
+
 The external backend speaks line-delimited JSON over a worker subprocess's
 stdin/stdout:
 
@@ -21,7 +26,7 @@ while it reads; a conforming worker exits 0 after the last line.
 Responses may arrive in any order and are re-associated by id. A response
 whose accuracy falls outside [0, 1], or an explicit error response,
 poisons only that record; a crashed worker is restarted and the
-unanswered requests are resent, up to a configured retry budget.
+unanswered requests are resent, at most ``WORKER_RETRIES`` (2) times.
 """
 
 from __future__ import annotations
@@ -99,25 +104,21 @@ class EvalRecord:
         return self.error is None
 
 
-# Default utilities were calibrated so that the level-1 mean sits near the
-# historical one-block accuracy prior (~0.86) while deeper cells keep a wide,
-# learnable spread: separable convolutions help, identity is filler, pooling
-# is mildly harmful on top of its own low utility.
-DEFAULT_OP_UTILITY = (0.12, 0.15, 0.17, 0.08, -0.08, -0.04, -0.03, 0.02)
+# Weights of the `cell_features` vector: the 8 operator utilities, then the
+# depth, input-diversity and pooling terms. They were calibrated so that the
+# level-1 mean sits near the historical one-block accuracy prior (~0.86)
+# while deeper cells keep a wide, learnable spread: separable convolutions
+# help, identity is filler, pooling is mildly harmful on top of its own low
+# utility.
+ORACLE_WEIGHTS = np.array([0.12, 0.15, 0.17, 0.08, -0.08, -0.04, -0.03, 0.02, 0.03, 0.03, -0.02])
+ORACLE_BIAS = 1.69
 
 
 @dataclass(frozen=True)
 class SyntheticOracleConfig:
-    op_utility: tuple[float, ...] = DEFAULT_OP_UTILITY
-    depth_bonus: float = 0.03
-    diversity_bonus: float = 0.03
-    pool_weight: float = -0.02
-    bias: float = 1.69
     noise_sigma: float = 0.01
 
     def __post_init__(self) -> None:
-        if len(self.op_utility) != len(Operator):
-            raise ValueError(f"need {len(Operator)} operator utilities, got {len(self.op_utility)}")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
 
@@ -144,7 +145,7 @@ def _sigmoid(z: float) -> float:
 
 
 class SyntheticOracle:
-    """Closed-form stand-in for proxy training: sigmoid(w . features) + noise.
+    """Closed-form stand-in for proxy training: sigmoid(ORACLE_BIAS + ORACLE_WEIGHTS . features) + noise.
 
     The noise-free score is a deterministic function of the canonical cell;
     the noise term is a deterministic function of (cell_key, request seed),
@@ -153,16 +154,10 @@ class SyntheticOracle:
 
     def __init__(self, config: SyntheticOracleConfig | None = None) -> None:
         self.config = config or SyntheticOracleConfig()
-        self._weights = np.concatenate(
-            [
-                np.asarray(self.config.op_utility, dtype=float),
-                [self.config.depth_bonus, self.config.diversity_bonus, self.config.pool_weight],
-            ]
-        )
 
     def score(self, cell: CellSpec) -> float:
         """Noise-free accuracy in (0, 1)."""
-        return _sigmoid(self.config.bias + float(self._weights @ cell_features(cell)))
+        return _sigmoid(ORACLE_BIAS + float(ORACLE_WEIGHTS @ cell_features(cell)))
 
     def noise(self, key: str, seed: int) -> float:
         if self.config.noise_sigma == 0.0:
@@ -256,16 +251,16 @@ def write_table(path: str, records: list[EvalRecord]) -> int:
     return len(seen)
 
 
+WORKER_RETRIES = 2  # restarts of a crashed worker per evaluation request
+
+
 class ExternalEvaluator:
     """Delegates evaluation to a worker subprocess via line-delimited JSON."""
 
-    def __init__(self, worker_cmd: list[str], retries: int = 2) -> None:
+    def __init__(self, worker_cmd: list[str]) -> None:
         if not worker_cmd:
             raise ValueError("worker command must be non-empty")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.worker_cmd = list(worker_cmd)
-        self.retries = retries
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
         keys = [cell_key(cell) for cell in request.cells]
@@ -276,10 +271,10 @@ class ExternalEvaluator:
             self._run_batch(request, pending, answers)
             if pending:
                 attempts += 1
-                if attempts > self.retries:
+                if attempts > WORKER_RETRIES:
                     raise WorkerTransportError(
                         f"worker {self.worker_cmd[0]!r} left {len(pending)} of {len(keys)} "
-                        f"requests unanswered after {self.retries} retries"
+                        f"requests unanswered after {WORKER_RETRIES} retries"
                     )
         return [answers[i] for i in range(len(keys))]
 

@@ -115,13 +115,22 @@ def _measure(evaluator, cells, config: HarnessConfig, eval_seed: int) -> np.ndar
     return np.asarray([rec.accuracy for rec in records])
 
 
+def harness_seeds(config: HarnessConfig) -> dict:
+    """The named seeds a harness run derives from its master seed; the manifest records the same dict."""
+    return {
+        "master": config.seed,
+        "eval": derive_seed(config.seed, "eval"),
+        "pools": {b: derive_seed(config.seed, "pool", b) for b in range(2, config.b_max + 1)},
+    }
+
+
 def predictor_harness(config: HarnessConfig, evaluator, base: PredictorConfig | None = None) -> CorrelationReport:
     """Measure within-level and one-level-up rank correlations per predictor kind."""
-    eval_seed = derive_seed(config.seed, "eval")
+    seeds = harness_seeds(config)
     pools: dict[int, list[CellSpec]] = {1: sorted(one_block_cells(), key=cell_key)}
-    for b in range(2, config.b_max + 1):
-        pools[b] = distinct_random_cells(config.pool_size, b, derive_seed(config.seed, "pool", b))
-    measured = {b: _measure(evaluator, pools[b], config, eval_seed) for b in pools}
+    for b, pool_seed in seeds["pools"].items():
+        pools[b] = distinct_random_cells(config.pool_size, b, pool_seed)
+    measured = {b: _measure(evaluator, pools[b], config, seeds["eval"]) for b in pools}
 
     levels = tuple(range(1, config.b_max))
     jobs = [(kind, b, t) for kind in config.kinds for b in levels for t in range(config.trials)]

@@ -34,11 +34,12 @@ Cost model (counted at output spatial positions, stride folded in):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cells import CellSpec, OPERATOR_NAMES, Operator, is_canonical, validate_cell
 
 STEM_KINDS = ("none", "conv3x3_stride2")
+INPUT_CHANNELS = 3  # RGB images
 _CONV_OPS = {Operator.SEP3X3, Operator.SEP5X5, Operator.SEP7X7, Operator.CONV1X7_7X1, Operator.DILATED3X3}
 _POOL_OPS = {Operator.AVGPOOL3X3, Operator.MAXPOOL3X3}
 
@@ -58,7 +59,6 @@ class StackPlan:
     n: int = 2
     f: int = 24
     input_hw: int = 32
-    input_channels: int = 3
     stem: str = "none"
     num_classes: int = 10
 
@@ -67,8 +67,8 @@ class StackPlan:
             raise ValueError(f"cell repeat count N must be >= 1, got {self.n}")
         if self.f < 1:
             raise ValueError(f"filter count F must be >= 1, got {self.f}")
-        if self.input_hw < 1 or self.input_channels < 1:
-            raise ValueError("input size and channels must be positive")
+        if self.input_hw < 1:
+            raise ValueError(f"input size must be >= 1, got {self.input_hw}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if self.stem not in STEM_KINDS:
@@ -171,7 +171,7 @@ def build_network(cell: CellSpec, plan: StackPlan) -> NetworkGraph:
     if not is_canonical(cell):
         raise BuildError("build_network requires a canonical cell")
     bld = _Builder()
-    current = bld.add("input", (), (plan.input_hw, plan.input_hw, plan.input_channels))
+    current = bld.add("input", (), (plan.input_hw, plan.input_hw, INPUT_CHANNELS))
     if plan.stem == "conv3x3_stride2":
         hw = _halve(plan.input_hw)
         current = bld.add("conv3x3", (current,), (hw, hw, plan.f))
@@ -239,10 +239,10 @@ def count_costs(graph: NetworkGraph) -> CostReport:
     return CostReport(params=params, mult_adds=mult_adds)
 
 
-def export_graph(graph: NetworkGraph, cell_key: str | None = None, plan: StackPlan | None = None) -> dict:
-    """JSON-serializable graph dump (schema_version 1) with total costs."""
+def export_graph(graph: NetworkGraph, cell_key: str, plan: StackPlan) -> dict:
+    """JSON-serializable graph dump (schema_version 1) with the cell key and plan it was built from and its total costs."""
     cost = count_costs(graph)
-    doc: dict = {
+    return {
         "schema_version": 1,
         "nodes": [
             {"id": n.id, "op": n.op, "inputs": list(n.inputs), "shape": list(n.shape or ())}
@@ -252,16 +252,6 @@ def export_graph(graph: NetworkGraph, cell_key: str | None = None, plan: StackPl
         "cell_outputs": list(graph.cell_outputs),
         "params": cost.params,
         "mult_adds": cost.mult_adds,
+        "cell_key": cell_key,
+        "plan": {**asdict(plan), "input_channels": INPUT_CHANNELS},
     }
-    if cell_key is not None:
-        doc["cell_key"] = cell_key
-    if plan is not None:
-        doc["plan"] = {
-            "n": plan.n,
-            "f": plan.f,
-            "input_hw": plan.input_hw,
-            "input_channels": plan.input_channels,
-            "stem": plan.stem,
-            "num_classes": plan.num_classes,
-        }
-    return doc

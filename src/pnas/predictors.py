@@ -45,8 +45,9 @@ The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``:
 for each cell length b, the batch rows of the b-block cells and their
 (m, 4b) token ids. Both encoders range-check ids through one helper. The
 LSTM's input projection factors through the same vocabulary: its two
-tables are stacked into one 19-row vocabulary (operators after inputs),
-each forward pass computes ``E @ W_x`` (19 x 4h) once, and step t gathers
+tables lead the flat parameter vector, so they read as one 19-row
+vocabulary (operators after inputs) without a copy, each forward pass
+computes ``E @ W_x`` (19 x 4h) once, and step t gathers
 the rows of its tokens, so no input matmul runs inside the time loop. A
 training pass keeps every step's activated gates in one (4b, m, 4h) array,
 and the backward time loop overwrites them with the gate gradients da,
@@ -64,11 +65,13 @@ mask, and allocates only its z >= 0 mask; a backward step forms each
 gate's gradient and multiplies all four by their activations'
 derivatives at once, and allocates nothing.
 
-Both train with L1 loss (subgradient 0 at the kink) under full-batch
-Adam, learning rate 0.01 at level 1 and 0.002 afterwards. The output
-bias starts at 1.8, so a fresh model predicts sigmoid(1.8) = 0.86, the
-mean one-block accuracy prior. Bagged 5-member ensembles refit each
-member from scratch on 4/5 of the data.
+Both train with one fixed recipe: L1 loss (subgradient 0 at the kink)
+under full-batch Adam, learning rate ``LR_FIRST_LEVEL`` (0.01) at level 1
+and ``LR_LATER_LEVELS`` (0.002) afterwards. The output bias starts at
+``FINAL_BIAS`` (1.8), so a fresh model predicts sigmoid(1.8) = 0.86, the
+mean one-block accuracy prior, and the MLP has ``MLP_LAYERS`` (2) hidden
+layers. Bagged 5-member ensembles refit each member from scratch on 4/5
+of the data.
 
 A predictor keeps its parameters in one flat float64 vector (``flat``);
 ``params`` maps each name to a view of it. ``fit`` allocates the
@@ -124,6 +127,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# the paper's training recipe, the same for every predictor
+MLP_LAYERS = 2
+FINAL_BIAS = 1.8
+LR_FIRST_LEVEL = 0.01
+LR_LATER_LEVELS = 0.002
+
 # slot counts: I1, I2 over the input vocabulary, then O1, O2 over the operators
 SLOT_VOCABS = (INPUT_VOCAB, INPUT_VOCAB, OP_VOCAB, OP_VOCAB)
 SLOT_OFFSETS = np.cumsum((0,) + SLOT_VOCABS[:-1])
@@ -173,10 +182,6 @@ class PredictorConfig:
     kind: str = "mlp"
     embed_dim: int = 100
     hidden: int = 100
-    mlp_layers: int = 2
-    final_bias_init: float = 1.8
-    lr_first_level: float = 0.01
-    lr_later_levels: float = 0.002
     epochs_first_level: int = 200
     epochs_later_levels: int = 100
     seed: int = 0
@@ -184,12 +189,12 @@ class PredictorConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("mlp", "rnn"):
             raise ValueError(f"predictor kind must be 'mlp' or 'rnn', got {self.kind!r}")
-        for name in ("embed_dim", "hidden", "mlp_layers", "epochs_first_level", "epochs_later_levels"):
+        for name in ("embed_dim", "hidden", "epochs_first_level", "epochs_later_levels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def lr(self, level: int) -> float:
-        return self.lr_first_level if level == 1 else self.lr_later_levels
+        return LR_FIRST_LEVEL if level == 1 else LR_LATER_LEVELS
 
     def epochs(self, level: int) -> int:
         return self.epochs_first_level if level == 1 else self.epochs_later_levels
@@ -428,12 +433,12 @@ class MLPPredictor(Predictor):
             "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, d)),
         }
         width = 4 * d
-        for layer in range(self.config.mlp_layers):
+        for layer in range(MLP_LAYERS):
             params[f"w{layer}"] = rng.uniform(-0.1, 0.1, size=(width, h))
             params[f"b{layer}"] = np.zeros(h)
             width = h
         params["w_out"] = rng.uniform(-0.1, 0.1, size=h)
-        params["b_out"] = np.full(1, self.config.final_bias_init)
+        params["b_out"] = np.full(1, FINAL_BIAS)
         return params
 
     @staticmethod
@@ -475,7 +480,7 @@ class MLPPredictor(Predictor):
         h = self.config.hidden
         return {
             "projected": np.empty((SLOT_WIDTH, h)),
-            "hidden": np.empty((self.config.mlp_layers, n, h)),
+            "hidden": np.empty((MLP_LAYERS, n, h)),
             "z": np.empty(n),
         }
 
@@ -503,7 +508,7 @@ class MLPPredictor(Predictor):
         for table, rows, columns in self._slot_weights():
             np.matmul(p[table], p["w0"][rows], out=projected[columns])
         np.matmul(counts.matrix, projected, out=hidden[0])
-        for layer in range(self.config.mlp_layers):
+        for layer in range(MLP_LAYERS):
             if layer:
                 np.matmul(hidden[layer - 1], p[f"w{layer}"], out=hidden[layer])
             hidden[layer] += p[f"b{layer}"]
@@ -531,7 +536,7 @@ class MLPPredictor(Predictor):
         grads["b_out"][0] = dz.sum()
         dh, da = work.dh, work.da
         np.multiply(dz[:, None], p["w_out"], out=dh)
-        for layer in reversed(range(self.config.mlp_layers)):
+        for layer in reversed(range(MLP_LAYERS)):
             # da = dh * (1 - hidden^2)
             np.multiply(hidden[layer], hidden[layer], out=da)
             np.subtract(1.0, da, out=da)
@@ -556,13 +561,14 @@ class RNNPredictor(Predictor):
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         d, h = self.config.embed_dim, self.config.hidden
         return {
+            # the tables come first, inputs then operators, so _vocab can read them as one view
             "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, d)),
             "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, d)),
             # gate order along the last axis: input, forget, cell, output
             "w": rng.uniform(-0.1, 0.1, size=(d + h, 4 * h)),
             "b": np.zeros(4 * h),
             "w_out": rng.uniform(-0.1, 0.1, size=h),
-            "b_out": np.full(1, self.config.final_bias_init),
+            "b_out": np.full(1, FINAL_BIAS),
         }
 
     @staticmethod
@@ -582,11 +588,14 @@ class RNNPredictor(Predictor):
             groups.append((rows, tokens))
         return TokenBatch(tuple(groups))
 
+    def _vocab(self, flat: np.ndarray) -> np.ndarray:
+        """Both embedding tables as one (19, d) view, inputs then operators, of a vector laid out like `flat`."""
+        return flat[: len(STEP_VOCAB) * self.config.embed_dim].reshape(len(STEP_VOCAB), -1)
+
     def _projections(self) -> tuple[np.ndarray, np.ndarray]:
         """The stacked vocabulary projected into the gates (19 x 4h), and the recurrent weights."""
-        p = self.params
-        vocab = np.vstack([p["embed_in"], p["embed_op"]])
-        return vocab @ p["w"][: self.config.embed_dim], p["w"][self.config.embed_dim :]
+        d = self.config.embed_dim
+        return self._vocab(self.flat) @ self.params["w"][:d], self.params["w"][d:]
 
     def _state_buffers(self, rows: int, kept: int, states: int) -> dict[str, np.ndarray]:
         """Flat buffers for `kept` (step, row) pairs of gates and tanh_c, and `states` of h and c.
@@ -761,10 +770,8 @@ class RNNPredictor(Predictor):
             onehot = work.onehot[: len(proj) * steps * m].reshape(len(proj), steps * m)
             np.equal(STEP_VOCAB[:, None], vocab_rows.T.reshape(-1), out=onehot)
             d_proj += np.matmul(onehot, da, out=work.d_part)
-        vocab = np.vstack([p["embed_in"], p["embed_op"]])
-        grads["w"][:d] = vocab.T @ d_proj
-        d_vocab = d_proj @ p["w"][:d].T
-        grads["embed_in"][...], grads["embed_op"][...] = d_vocab[:INPUT_VOCAB], d_vocab[INPUT_VOCAB:]
+        grads["w"][:d] = self._vocab(self.flat).T @ d_proj
+        np.matmul(d_proj, p["w"][:d].T, out=self._vocab(work.grad))
         return loss / n, grads
 
 

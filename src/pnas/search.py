@@ -288,6 +288,16 @@ def _level_result(level: int, records: list[EvalRecord], predicted: dict[str, fl
     )
 
 
+def search_seeds(seed: int) -> dict[str, int]:
+    """The named seeds a search derives from its master seed; the manifest records the same dict."""
+    return {
+        "master": seed,
+        "eval": derive_seed(seed, "eval"),
+        "predictor": derive_seed(seed, "predictor"),
+        "random_search": derive_seed(seed, "random-search"),
+    }
+
+
 def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: PredictorConfig | None = None) -> SearchTrace:
     """Run the progressive search and return its full trace.
 
@@ -296,8 +306,8 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
     survives on disk.
     """
     plan = StackPlan(n=config.cell_repeats, f=config.filters)
-    eval_seed = derive_seed(config.seed, "eval")
-    predictor_seed = derive_seed(config.seed, "predictor")
+    seeds = search_seeds(config.seed)
+    eval_seed, predictor_seed = seeds["eval"], seeds["predictor"]
     surrogate = make_surrogate(config.predictor, predictor_seed, evaluator, predictor_config)
 
     beam = sorted(one_block_cells(), key=cell_key)
@@ -366,9 +376,9 @@ def random_search(
     if not 1 <= b_max <= B_MAX:
         raise ValueError(f"b_max must be in [1, {B_MAX}], got {b_max}")
     plan = StackPlan(n=cell_repeats, f=filters)
-    rng = np.random.default_rng(derive_seed(seed, "random-search"))
-    eval_seed = derive_seed(seed, "eval")
+    seeds = search_seeds(seed)
+    rng = np.random.default_rng(seeds["random_search"])
     cells = [random_cell(b_max, rng) for _ in range(count)]
-    records = _evaluate(evaluator, cells, b_max, epochs, plan, eval_seed, writer)
+    records = _evaluate(evaluator, cells, b_max, epochs, plan, seeds["eval"], writer)
     _check_some_succeeded(records, b_max)
     return SearchTrace(levels=(_level_result(b_max, records, None),), records=tuple(records))

@@ -3,13 +3,16 @@
 Traces are JSON-lines: one event dict per line, keys sorted, compact
 separators, flushed per line. Serialization is canonical, so two runs
 with the same configuration produce byte-identical files, and a crash
-loses at most the line being written.
+loses at most the line being written. JSON documents (manifests,
+reports, graphs) replace their earlier version atomically.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import suppress
 from typing import Sequence
 
 
@@ -79,6 +82,19 @@ def _plain(value):
 
 
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write `payload` as indented JSON with sorted keys, replacing `path` atomically.
+
+    The document goes to a temporary file next to `path`, which then
+    replaces it, so a process killed mid-write leaves the earlier file
+    whole. On any error the temporary file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise

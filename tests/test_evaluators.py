@@ -18,6 +18,7 @@ from pnas.evaluators import (
     TableLookupError,
     TableParseError,
     TabularEvaluator,
+    WORKER_RETRIES,
     WorkerProtocolError,
     WorkerTransportError,
     cell_features,
@@ -100,8 +101,6 @@ def test_oracle_level_one_mean_calibration():
 
 
 def test_oracle_config_validation():
-    with pytest.raises(ValueError, match="operator utilities"):
-        SyntheticOracleConfig(op_utility=(0.1, 0.2))
     with pytest.raises(ValueError, match="sigma"):
         SyntheticOracleConfig(noise_sigma=-1.0)
 
@@ -332,16 +331,14 @@ def test_records_follow_request_order_with_a_repeated_cell(tmp_path, backend):
 
 
 def test_external_persistent_crash_exhausts_retries():
-    ext = ExternalEvaluator(inline_worker("import sys; sys.exit(1)"), retries=1)
-    with pytest.raises(WorkerTransportError, match="unanswered after 1 retries"):
+    ext = ExternalEvaluator(inline_worker("import sys; sys.exit(1)"))
+    with pytest.raises(WorkerTransportError, match=f"unanswered after {WORKER_RETRIES} retries"):
         ext.evaluate(make_request())
 
 
 def test_external_constructor_validation():
     with pytest.raises(ValueError, match="non-empty"):
         ExternalEvaluator([])
-    with pytest.raises(ValueError, match="retries"):
-        ExternalEvaluator(["worker"], retries=-1)
 
 
 def test_external_missing_binary():

@@ -1,8 +1,10 @@
 """Surrogate predictors: encoding, training, ensembling."""
 
+import ctypes
 import multiprocessing
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given
 
 from pnas.cells import BlockSpec, cell_key, one_block_cells, parse_cell_key, random_cell
 from pnas.predictors import (
+    BLAS_SETTERS,
     ENSEMBLE_SIZE,
+    MLP_LAYERS,
     SLOT_OFFSETS,
     SLOT_VOCABS,
     Ensemble,
@@ -20,6 +24,7 @@ from pnas.predictors import (
     RNNPredictor,
     SlotCounts,
     _free_cpus,
+    _pin_blas,
     _sigmoid,
     ensemble_fit,
     ensemble_folds,
@@ -101,14 +106,14 @@ def test_slot_counts_follow_key_fields(cell):
 def test_factored_forward_matches_concatenated_embeddings():
     cells, accs = train_batch(n=30, b=3)
     more, _ = train_batch(n=10, b=7, seed=8)
-    model = new_predictor(PredictorConfig(kind="mlp", mlp_layers=3, seed=2))
+    model = new_predictor(PredictorConfig(kind="mlp", seed=2))
     model.fit(cells, accs, level=1)
     p = model.params
     ci1, ci2, co1, co2 = reference_slot_counts(cells + more)
     h = np.concatenate(
         [ci1 @ p["embed_in"], ci2 @ p["embed_in"], co1 @ p["embed_op"], co2 @ p["embed_op"]], axis=1
     )
-    for layer in range(3):
+    for layer in range(MLP_LAYERS):
         h = np.tanh(h @ p[f"w{layer}"] + p[f"b{layer}"])
     want = 1.0 / (1.0 + np.exp(-(h @ p["w_out"] + p["b_out"][0])))
     assert np.max(np.abs(model.predict(cells + more) - want)) < 1e-12
@@ -207,6 +212,19 @@ def test_free_cpus_is_one_when_blas_is_not_pinned(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert _free_cpus() == 1
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("MKL_Set_Num_Threads",), ("openblas_set_num_threads", "openblas_set_num_threads64_"), ()],
+)
+def test_pin_blas_calls_the_first_setter_the_library_has(monkeypatch, names):
+    calls = []
+    lib = SimpleNamespace(**{name: lambda threads, name=name: calls.append((name, threads)) for name in names})
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    first = [name for name in BLAS_SETTERS if name in names][:1]
+    assert _pin_blas() is bool(names)
+    assert calls == [(name, 1) for name in first]
 
 
 def force_workers(monkeypatch, workers):

@@ -1,6 +1,7 @@
 """JSON-lines traces and CSV/JSON summaries."""
 
 import json
+import os
 
 import pytest
 
@@ -95,3 +96,28 @@ def test_write_json_stable(tmp_path):
     assert text.endswith("\n")
     assert json.loads(text) == {"a": [1, 2], "b": 1}
     assert text.index('"a"') < text.index('"b"')
+
+
+def test_write_json_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    write_json(str(path), {"status": "running"})
+    before = path.read_bytes()
+
+    def torn_dump(payload, fh, **kwargs):
+        fh.write('{"status": "comp')
+        raise KeyboardInterrupt  # a kill in the middle of the write
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(KeyboardInterrupt):
+        write_json(str(path), {"status": "completed"})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_write_json_onto_a_directory_leaves_no_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_json(str(target), {"a": 1})
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
