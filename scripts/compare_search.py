@@ -20,11 +20,11 @@ from pnas.traceio import write_summary_csv
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("-B", "--blocks", type=int, default=5)
+    parser.add_argument("-B", "--blocks", type=int, default=SearchConfig.b_max)
     parser.add_argument("-K", "--beam-size", type=int, default=64)
-    parser.add_argument("--predictor", default="mlp-ens")
+    parser.add_argument("--predictor", default=SearchConfig.predictor)
     parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--sigma", type=float, default=0.01)
+    parser.add_argument("--sigma", type=float, default=SyntheticOracleConfig.noise_sigma)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="compare.csv")
     args = parser.parse_args()
@@ -40,7 +40,7 @@ def main() -> int:
             b_max=args.blocks, beam_size=args.beam_size, predictor=args.predictor, seed=seed
         )
         trace_p = pnas_search(config, oracle)
-        trace_r = random_search(trace_p.m1, args.blocks, oracle, seed)
+        trace_r = random_search(config, trace_p.m1, oracle)
         curves["pnas"].append(top_m_table(trace_p, m_values))
         curves["random"].append(top_m_table(trace_r, m_values))
         _, acc_p = trace_p.best()

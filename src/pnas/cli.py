@@ -6,8 +6,9 @@ number the commands print. A run holds an exclusive ``flock`` on its
 run directory while any of its processes lives, so two runs never write
 one directory at once, and a killed run's lock goes with it.
 Configuration precedence is flags over config-file entries over built-in
+defaults, and the built-in defaults are the config dataclasses' field
 defaults; the config file is plain ``key=value`` lines with ``#``
-comments.
+comments, each parsed and checked as its flag would be.
 
 Exit codes: 0 success, 1 configuration error, 2 evaluator or transport
 error, 3 internal contract violation.
@@ -60,6 +61,33 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would sys.exit(2)
         raise ConfigError(message)
 
+    def config_actions(self) -> dict[str, argparse.Action]:
+        """The options a config file may set: every value-taking option but ``--config``."""
+        actions = {action.dest: action for action in self._actions if action.option_strings and action.nargs != 0}
+        return actions if actions.pop("config", None) else {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse, and when a config file is named, parse again with its entries as defaults.
+
+        Argparse then applies the precedence itself: flags beat the file,
+        and the file beats the built-in defaults.
+        """
+        parsed, extras = super().parse_known_args(args, namespace)
+        actions = self.config_actions()
+        if actions and parsed.config:
+            for key, text in load_config_file(parsed.config).items():
+                if key not in actions:
+                    raise ConfigError(f"unknown config key {key!r}")
+                action = actions[key]
+                try:
+                    action.default = action.type(text) if action.type else text
+                except ValueError:
+                    raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from None
+                if action.choices is not None and action.default not in action.choices:
+                    raise ConfigError(f"{key} must be one of {tuple(action.choices)}, got {action.default!r}")
+            parsed, extras = super().parse_known_args(args, namespace)
+        return parsed, extras
+
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -80,23 +108,6 @@ def load_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return entries
-
-
-def _merge(defaults: dict, args: argparse.Namespace) -> dict:
-    """Defaults, then config-file entries parsed as their default's type, then flags."""
-    merged = dict(defaults)
-    for key, text in (load_config_file(args.config) if args.config else {}).items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            merged[key] = type(defaults[key])(text)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from None
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 @contextmanager
@@ -174,48 +185,25 @@ def _versions() -> dict:
     }
 
 
-SEARCH_DEFAULTS = {
-    "strategy": "pnas",
-    "blocks": 5,
-    "beam_size": 256,
-    "epochs": 20,
-    "filters": 24,
-    "cell_repeats": 2,
-    "count": 0,  # 0 means: match the progressive budget for the same B, K
-    "predictor": "mlp-ens",
-    "evaluator": "synthetic",
-    "sigma": 0.01,
-    "seed": 0,
-    "out": "runs/search",
-    "table": "",
-    "worker_cmd": "",
-}
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    opts = _merge(SEARCH_DEFAULTS, args)
-    if opts["strategy"] not in ("pnas", "random"):
-        raise ConfigError(f"--strategy must be pnas or random, got {opts['strategy']!r}")
-    if opts["evaluator"] not in EVALUATOR_BACKENDS:
-        raise ConfigError(f"evaluator must be one of {EVALUATOR_BACKENDS}, got {opts['evaluator']!r}")
     try:
         config = SearchConfig(
-            b_max=opts["blocks"],
-            beam_size=opts["beam_size"],
-            epochs=opts["epochs"],
-            filters=opts["filters"],
-            cell_repeats=opts["cell_repeats"],
-            predictor=opts["predictor"],
-            seed=opts["seed"],
+            b_max=args.blocks,
+            beam_size=args.beam_size,
+            epochs=args.epochs,
+            filters=args.filters,
+            cell_repeats=args.cell_repeats,
+            predictor=args.predictor,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if opts["count"] < 0:
-        raise ConfigError(f"--count must be positive, got {opts['count']}")
+    if args.count < 0:
+        raise ConfigError(f"--count must be positive, got {args.count}")
     budget = plan_budget(config.b_max, config.beam_size)
-    count = opts["count"] if opts["count"] > 0 else sum(budget)
+    count = args.count if args.count > 0 else sum(budget)
 
-    if opts["strategy"] == "pnas":
+    if args.strategy == "pnas":
         print("budget_per_level " + " ".join(str(size) for size in budget))
         m1 = sum(budget)
     else:
@@ -227,15 +215,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     # construct before touching the output directory so bad evaluator
     # options fail without leaving a half-written run behind
-    evaluator, evaluator_entry = _make_evaluator(
-        opts["evaluator"], opts["sigma"], opts["table"] or None, opts["worker_cmd"] or None
-    )
+    evaluator, evaluator_entry = _make_evaluator(args.evaluator, args.sigma, args.table, args.worker_cmd)
     manifest = {
         "format_version": 1,
         "command": "search",
-        "strategy": opts["strategy"],
+        "strategy": args.strategy,
         "config": asdict(config),
-        "count": count if opts["strategy"] == "random" else None,
+        "count": count if args.strategy == "random" else None,
         "evaluator": evaluator_entry,
         "seeds": search_seeds(config.seed),
         "versions": _versions(),
@@ -246,21 +232,12 @@ def cmd_search(args: argparse.Namespace) -> int:
             "graphs": "graphs",
         },
     }
-    with _run_dir(opts["out"], manifest) as path:
+    with _run_dir(args.out, manifest) as path:
         with TraceWriter(path("trace.jsonl")) as writer:
-            if opts["strategy"] == "pnas":
+            if args.strategy == "pnas":
                 trace = pnas_search(config, evaluator, writer)
             else:
-                trace = random_search(
-                    count,
-                    config.b_max,
-                    evaluator,
-                    config.seed,
-                    epochs=config.epochs,
-                    filters=config.filters,
-                    cell_repeats=config.cell_repeats,
-                    writer=writer,
-                )
+                trace = random_search(config, count, evaluator, writer)
 
         write_summary_csv(path("summary.csv"), top_m_table(trace))
         write_summary_csv(
@@ -279,40 +256,26 @@ def cmd_search(args: argparse.Namespace) -> int:
     best_key, best_acc = trace.best()
     print(f"best_cell {best_key}")
     print(f"best_accuracy {best_acc!r}")
-    print(f"out {opts['out']}")
+    print(f"out {args.out}")
     return 0
 
 
-HARNESS_DEFAULTS = {
-    "predictors": "mlp,rnn,mlp-ens,rnn-ens",
-    "trials": 5,
-    "sample_size": 64,
-    "pool_size": 1000,
-    "blocks": 5,
-    "epochs": 20,
-    "sigma": 0.01,
-    "seed": 0,
-    "out": "runs/harness",
-}
-
-
 def cmd_harness(args: argparse.Namespace) -> int:
-    opts = _merge(HARNESS_DEFAULTS, args)
-    kinds = tuple(part.strip() for part in opts["predictors"].split(",") if part.strip())
-    sigma = opts["sigma"]
+    kinds = tuple(part.strip() for part in args.predictors.split(",") if part.strip())
+    sigma = args.sigma
     if args.perfect:
         # a noise-free oracle makes the oracle-passthrough predictor exact
         kinds = ("perfect",)
         sigma = 0.0
     try:
         config = HarnessConfig(
-            trials=opts["trials"],
-            sample_size=opts["sample_size"],
-            pool_size=opts["pool_size"],
-            b_max=opts["blocks"],
+            trials=args.trials,
+            sample_size=args.sample_size,
+            pool_size=args.pool_size,
+            b_max=args.blocks,
             kinds=kinds,
-            epochs=opts["epochs"],
-            seed=opts["seed"],
+            epochs=args.epochs,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -327,7 +290,7 @@ def cmd_harness(args: argparse.Namespace) -> int:
         "versions": _versions(),
         "outputs": {"summary": "summary.csv", "report": "report.json"},
     }
-    with _run_dir(opts["out"], manifest) as path:
+    with _run_dir(args.out, manifest) as path:
         report = predictor_harness(config, evaluator)
 
         # wide layout: one row per predictor, correlation columns by level
@@ -357,21 +320,21 @@ def cmd_harness(args: argparse.Namespace) -> int:
     for row in rows:
         parts = [f"{key}={row[key]!r}" for key in fields[1:]]
         print(f"{row['predictor']} " + " ".join(parts))
-    print(f"out {opts['out']}")
+    print(f"out {args.out}")
     return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     try:
         size = count_space(args.blocks)
+        budget = None if args.beam_size is None else plan_budget(args.blocks, args.beam_size)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for b in range(1, args.blocks + 1):
         print(f"level {b}: raw_blocks {len(enumerate_blocks(b))} unique_blocks {len(canonical_blocks(b))}")
     print(f"space_raw {size.raw}")
     print(f"space_unique {size.unique}")
-    if args.beam_size is not None:
-        budget = plan_budget(args.blocks, args.beam_size)
+    if budget is not None:
         print("budget_per_level " + " ".join(str(part) for part in budget))
         print(f"m1 {sum(budget)}")
     return 0
@@ -406,35 +369,35 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     search = sub.add_parser("search", help="run the progressive or random search")
-    search.add_argument("--strategy", choices=("pnas", "random"), default=None)
-    search.add_argument("-B", "--blocks", type=int, default=None, help="maximum blocks per cell")
-    search.add_argument("-K", "--beam-size", dest="beam_size", type=int, default=None)
-    search.add_argument("-E", "--epochs", type=int, default=None, help="proxy training epochs per model")
-    search.add_argument("-F", "--filters", type=int, default=None)
-    search.add_argument("-N", "--cell-repeats", dest="cell_repeats", type=int, default=None)
-    search.add_argument("--count", type=int, default=None, help="random-strategy sample count (default: match pnas budget)")
-    search.add_argument("--predictor", choices=PREDICTOR_KINDS, default=None)
-    search.add_argument("--evaluator", choices=EVALUATOR_BACKENDS, default=None)
+    search.add_argument("--strategy", choices=("pnas", "random"), default="pnas")
+    search.add_argument("-B", "--blocks", type=int, default=SearchConfig.b_max, help="maximum blocks per cell")
+    search.add_argument("-K", "--beam-size", dest="beam_size", type=int, default=SearchConfig.beam_size)
+    search.add_argument("-E", "--epochs", type=int, default=SearchConfig.epochs, help="proxy training epochs per model")
+    search.add_argument("-F", "--filters", type=int, default=SearchConfig.filters)
+    search.add_argument("-N", "--cell-repeats", dest="cell_repeats", type=int, default=SearchConfig.cell_repeats)
+    search.add_argument("--count", type=int, default=0, help="random-strategy sample count (default: match pnas budget)")
+    search.add_argument("--predictor", choices=PREDICTOR_KINDS, default=SearchConfig.predictor)
+    search.add_argument("--evaluator", choices=EVALUATOR_BACKENDS, default="synthetic")
     search.add_argument("--table", default=None, help="benchmark CSV for the tabular evaluator")
     search.add_argument("--worker-cmd", dest="worker_cmd", default=None, help="command line of the external worker")
-    search.add_argument("--sigma", type=float, default=None, help="synthetic oracle noise standard deviation")
-    search.add_argument("--seed", type=int, default=None)
-    search.add_argument("--out", default=None, help="run directory")
+    search.add_argument("--sigma", type=float, default=SyntheticOracleConfig.noise_sigma, help="oracle noise std deviation")
+    search.add_argument("--seed", type=int, default=SearchConfig.seed)
+    search.add_argument("--out", default="runs/search", help="run directory")
     search.add_argument("--config", default=None, help="key=value config file")
     search.add_argument("--dry-run", dest="dry_run", action="store_true", help="print the budget plan and exit")
     search.set_defaults(func=cmd_search)
 
     harness = sub.add_parser("harness", help="rank-correlation harness for the predictors")
-    harness.add_argument("--predictors", default=None, help="comma-separated predictor kinds")
-    harness.add_argument("-T", "--trials", type=int, default=None)
-    harness.add_argument("-K", "--sample-size", dest="sample_size", type=int, default=None)
-    harness.add_argument("-R", "--pool-size", dest="pool_size", type=int, default=None)
-    harness.add_argument("-B", "--blocks", type=int, default=None)
-    harness.add_argument("-E", "--epochs", type=int, default=None)
+    harness.add_argument("--predictors", default=",".join(HarnessConfig.kinds), help="comma-separated predictor kinds")
+    harness.add_argument("-T", "--trials", type=int, default=HarnessConfig.trials)
+    harness.add_argument("-K", "--sample-size", dest="sample_size", type=int, default=HarnessConfig.sample_size)
+    harness.add_argument("-R", "--pool-size", dest="pool_size", type=int, default=HarnessConfig.pool_size)
+    harness.add_argument("-B", "--blocks", type=int, default=HarnessConfig.b_max)
+    harness.add_argument("-E", "--epochs", type=int, default=HarnessConfig.epochs)
     harness.add_argument("--perfect", action="store_true", help="oracle-passthrough predictor on the noise-free oracle")
-    harness.add_argument("--sigma", type=float, default=None)
-    harness.add_argument("--seed", type=int, default=None)
-    harness.add_argument("--out", default=None)
+    harness.add_argument("--sigma", type=float, default=SyntheticOracleConfig.noise_sigma)
+    harness.add_argument("--seed", type=int, default=HarnessConfig.seed)
+    harness.add_argument("--out", default="runs/harness")
     harness.add_argument("--config", default=None)
     harness.set_defaults(func=cmd_harness)
 

@@ -32,6 +32,7 @@ unanswered requests are resent, at most ``WORKER_RETRIES`` (2) times.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ import numpy as np
 from .cells import CellSpec, Operator, cell_key, is_canonical, parse_cell_key, validate_cell
 from .network import StackPlan
 from .seeding import derive_seed
+from .traceio import replacing
 
 
 class EvaluatorError(RuntimeError):
@@ -119,8 +121,8 @@ class SyntheticOracleConfig:
     noise_sigma: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise sigma must be >= 0 and finite, got {self.noise_sigma}")
 
 
 def cell_features(cell: CellSpec) -> np.ndarray:
@@ -244,7 +246,7 @@ def write_table(path: str, records: list[EvalRecord]) -> int:
     for rec in records:
         if rec.ok and (rec.cell_key, rec.seed) not in seen:
             seen[(rec.cell_key, rec.seed)] = float(rec.accuracy)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(TABLE_HEADER) + "\n")
         for (key, seed), acc in sorted(seen.items()):
             fh.write(f"{key},{seed},{acc!r}\n")

@@ -41,11 +41,15 @@ TRAINED_KINDS = tuple(kind for kind in PREDICTOR_KINDS if kind != "perfect")
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Full-scale defaults: 20 trials of 256 samples against pools of 10000."""
+    """Desk-scale defaults: 5 trials of 64 samples against pools of 1000.
 
-    trials: int = 20
-    sample_size: int = 256
-    pool_size: int = 10_000
+    The paper-scale protocol, 20 trials of 256 samples against pools of
+    10000, is ``pnas harness -T 20 -K 256 -R 10000``.
+    """
+
+    trials: int = 5
+    sample_size: int = 64
+    pool_size: int = 1000
     b_max: int = 5
     kinds: tuple[str, ...] = TRAINED_KINDS
     epochs: int = 20

@@ -354,31 +354,21 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
     return SearchTrace(levels=tuple(levels), records=tuple(all_records))
 
 
-def random_search(
-    count: int,
-    b_max: int,
-    evaluator,
-    seed: int,
-    epochs: int = 20,
-    filters: int = 24,
-    cell_repeats: int = 2,
-    writer=None,
-) -> SearchTrace:
-    """Uniformly sample `count` cells of exactly b_max blocks and evaluate all.
+def random_search(config: SearchConfig, count: int, evaluator, writer=None) -> SearchTrace:
+    """Uniformly sample `count` cells of exactly `config.b_max` blocks and evaluate all.
 
     Cells are drawn block by block over the raw space and canonicalized, so
     duplicates can occur, exactly like independent uniform draws. All draws
     are sent as one evaluation request, and records stay in sample order so
-    running top-M statistics read off the trace.
+    running top-M statistics read off the trace. The beam size and the
+    predictor of `config` play no part.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not 1 <= b_max <= B_MAX:
-        raise ValueError(f"b_max must be in [1, {B_MAX}], got {b_max}")
-    plan = StackPlan(n=cell_repeats, f=filters)
-    seeds = search_seeds(seed)
+    plan = StackPlan(n=config.cell_repeats, f=config.filters)
+    seeds = search_seeds(config.seed)
     rng = np.random.default_rng(seeds["random_search"])
-    cells = [random_cell(b_max, rng) for _ in range(count)]
-    records = _evaluate(evaluator, cells, b_max, epochs, plan, seeds["eval"], writer)
-    _check_some_succeeded(records, b_max)
-    return SearchTrace(levels=(_level_result(b_max, records, None),), records=tuple(records))
+    cells = [random_cell(config.b_max, rng) for _ in range(count)]
+    records = _evaluate(evaluator, cells, config.b_max, config.epochs, plan, seeds["eval"], writer)
+    _check_some_succeeded(records, config.b_max)
+    return SearchTrace(levels=(_level_result(config.b_max, records, None),), records=tuple(records))

@@ -4,7 +4,7 @@ Traces are JSON-lines: one event dict per line, keys sorted, compact
 separators, flushed per line. Serialization is canonical, so two runs
 with the same configuration produce byte-identical files, and a crash
 loses at most the line being written. JSON documents (manifests,
-reports, graphs) replace their earlier version atomically.
+reports, graphs) and CSV files replace their earlier version atomically.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from typing import Sequence
 
 
@@ -68,7 +68,7 @@ def write_summary_csv(path: str, rows: Sequence[dict], field_order: Sequence[str
         fields = []  # rows may grow columns (top-M points appear once M models exist)
         for row in rows:
             fields.extend(key for key in row if key not in fields)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
         writer.writeheader()
         for row in rows:
@@ -82,17 +82,24 @@ def _plain(value):
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write `payload` as indented JSON with sorted keys, replacing `path` atomically.
+    """Write `payload` as indented JSON with sorted keys, replacing `path` atomically."""
+    with replacing(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
-    The document goes to a temporary file next to `path`, which then
-    replaces it, so a process killed mid-write leaves the earlier file
-    whole. On any error the temporary file is removed.
+
+@contextmanager
+def replacing(path: str):
+    """Yield a text file whose contents replace `path` atomically when the block ends.
+
+    The writes go to a temporary file next to `path`, which then replaces
+    it, so a process killed mid-write leaves the earlier file whole. On
+    any error the temporary file is removed.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):

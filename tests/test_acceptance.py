@@ -80,7 +80,7 @@ def test_criterion_03_search_beats_random():
             config = SearchConfig(b_max=5, beam_size=64, predictor="mlp-ens", seed=seed)
             trace = pnas_search(config, SyntheticOracle())
             assert trace.m1 == budget
-            baseline = random_search(budget, 5, SyntheticOracle(), seed=seed)
+            baseline = random_search(config, budget, SyntheticOracle())
             pnas_top1 = max(trace.accuracies())
             random_top1 = max(baseline.accuracies())
             if pnas_top1 > random_top1:

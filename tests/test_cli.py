@@ -1,5 +1,6 @@
 """Command-line entry points, exit codes, and run-directory artifacts."""
 
+import argparse
 import fcntl
 import importlib
 import json
@@ -15,10 +16,11 @@ import pytest
 
 import pnas
 from pnas.cells import one_block_cells
-from pnas.cli import load_config_file, main
-from pnas.evaluators import SyntheticOracle, write_table
+from pnas.cli import build_parser, load_config_file, main
+from pnas.evaluators import SyntheticOracle, SyntheticOracleConfig, write_table
+from pnas.harness import HarnessConfig
 from pnas.predictors import _BLAS_PINNED
-from pnas.search import EXAMPLES_PER_EPOCH, plan_budget
+from pnas.search import EXAMPLES_PER_EPOCH, SearchConfig, plan_budget
 from pnas.traceio import read_trace
 
 
@@ -44,6 +46,11 @@ def test_count_rejects_bad_level(capsys):
     code, _, err = run(capsys, "count", "-B", "0")
     assert code == 1
     assert "error:" in err
+
+    code, out, err = run(capsys, "count", "-B", "5", "-K", "0")
+    assert code == 1
+    assert "beam_size must be >= 1, got 0" in err
+    assert out == ""  # checked before anything is printed
 
 
 def test_build_writes_graph(tmp_path, capsys):
@@ -102,6 +109,20 @@ def test_negative_sigma_is_config_error(tmp_path, capsys):
     )
     assert code == 1 and "noise sigma must be >= 0" in err
     assert not (tmp_path / "b").exists()
+
+    for sigma in ("nan", "inf"):
+        out_dir = tmp_path / f"search-{sigma}"
+        code, _, err = run(capsys, "search", "-B", "2", "-K", "4", "--sigma", sigma, "--out", str(out_dir))
+        assert code == 1 and "noise sigma must be >= 0" in err
+        assert not out_dir.exists()
+
+        out_dir = tmp_path / f"harness-{sigma}"
+        code, _, err = run(
+            capsys, "harness", "-T", "1", "-K", "8", "-R", "20", "-B", "2",
+            "--predictors", "mlp", "--sigma", sigma, "--out", str(out_dir),
+        )
+        assert code == 1 and "noise sigma must be >= 0" in err
+        assert not out_dir.exists()
 
 
 def test_search_dry_run(tmp_path, capsys):
@@ -236,6 +257,57 @@ def test_config_file_errors(tmp_path, capsys):
     bad_backend.write_text("evaluator=slurm\n")
     code, _, err = run(capsys, "search", "--config", str(bad_backend), "--dry-run")
     assert code == 1 and "evaluator must be one of" in err
+
+
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy=greedy\n")
+    code, _, err = run(capsys, "search", "--config", str(cfg), "--dry-run")
+    assert code == 1 and "strategy must be one of ('pnas', 'random'), got 'greedy'" in err
+
+    cfg.write_text("strategy=random\ncount=7\n")
+    code, stdout, _ = run(capsys, "search", "--config", str(cfg), "--dry-run")
+    assert code == 0 and "m1 7" in stdout.splitlines()
+
+    cfg.write_text("perfect=1\n")  # a switch, not a setting
+    code, _, err = run(capsys, "harness", "--config", str(cfg))
+    assert code == 1 and "unknown config key 'perfect'" in err
+
+
+def subcommand(name):
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+def test_flag_defaults_are_the_config_defaults():
+    search, config = build_parser().parse_args(["search"]), SearchConfig()
+    assert (search.blocks, search.beam_size, search.epochs, search.filters) == (
+        config.b_max, config.beam_size, config.epochs, config.filters
+    )
+    assert (search.cell_repeats, search.predictor, search.seed) == (
+        config.cell_repeats, config.predictor, config.seed
+    )
+    assert search.sigma == SyntheticOracleConfig().noise_sigma
+
+    harness, config = build_parser().parse_args(["harness"]), HarnessConfig()
+    assert (harness.trials, harness.sample_size, harness.pool_size) == (
+        config.trials, config.sample_size, config.pool_size
+    )
+    assert (harness.blocks, harness.epochs, harness.seed) == (config.b_max, config.epochs, config.seed)
+    assert tuple(harness.predictors.split(",")) == config.kinds
+    assert harness.sigma == SyntheticOracleConfig().noise_sigma
+
+
+def test_config_file_keys():
+    assert sorted(subcommand("search").config_actions()) == sorted([
+        "strategy", "blocks", "beam_size", "epochs", "filters", "cell_repeats", "count",
+        "predictor", "evaluator", "table", "worker_cmd", "sigma", "seed", "out",
+    ])
+    assert sorted(subcommand("harness").config_actions()) == sorted([
+        "predictors", "trials", "sample_size", "pool_size", "blocks", "epochs", "sigma", "seed", "out",
+    ])
+    assert subcommand("count").config_actions() == {}
+    assert subcommand("build").config_actions() == {}
 
 
 def test_load_config_file_strips_comments(tmp_path):

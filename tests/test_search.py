@@ -306,22 +306,22 @@ def test_search_monotone_under_perfect_surrogate():
 
 def test_random_search_basics():
     writer = ListWriter()
-    trace = random_search(25, 3, SyntheticOracle(), seed=11, writer=writer)
+    trace = random_search(SearchConfig(b_max=3, seed=11), 25, SyntheticOracle(), writer=writer)
     assert trace.m1 == 25
     assert len(trace.records) == 25
     assert all(len(ev) for ev in writer.events)
     assert [ev["event"] for ev in writer.events] == ["eval"] * 25
-    again = random_search(25, 3, SyntheticOracle(), seed=11)
+    again = random_search(SearchConfig(b_max=3, seed=11), 25, SyntheticOracle())
     assert [r.cell_key for r in trace.records] == [r.cell_key for r in again.records]
     assert [r.accuracy for r in trace.records] == [r.accuracy for r in again.records]
-    different = random_search(25, 3, SyntheticOracle(), seed=12)
+    different = random_search(SearchConfig(b_max=3, seed=12), 25, SyntheticOracle())
     assert [r.cell_key for r in trace.records] != [
         r.cell_key for r in different.records
     ]
 
 
 def test_random_search_keeps_sample_order():
-    trace = random_search(40, 2, SyntheticOracle(), seed=3)
+    trace = random_search(SearchConfig(b_max=2, seed=3), 40, SyntheticOracle())
     keys = [r.cell_key for r in trace.records]
     assert keys != sorted(keys)  # order reflects sampling, not sorting
     assert all(key.startswith("2|") for key in keys)
@@ -341,7 +341,7 @@ class RecordingOracle(SyntheticOracle):
 
 def test_random_search_sends_all_draws_as_one_request():
     oracle, writer = RecordingOracle(), ListWriter()
-    random_search(200, 1, oracle, seed=5, writer=writer)
+    random_search(SearchConfig(b_max=1, seed=5), 200, oracle, writer=writer)
     rng = np.random.default_rng(derive_seed(5, "random-search"))
     drawn = [random_cell(1, rng) for _ in range(200)]
     assert len(set(drawn)) < 200  # 136 one-block cells, so draws repeat
@@ -352,13 +352,13 @@ def test_random_search_sends_all_draws_as_one_request():
 
 def test_random_search_validation():
     with pytest.raises(ValueError, match="count"):
-        random_search(0, 2, SyntheticOracle(), seed=0)
+        random_search(SearchConfig(b_max=2), 0, SyntheticOracle())
     with pytest.raises(ValueError, match="b_max"):
-        random_search(5, 0, SyntheticOracle(), seed=0)
+        random_search(SearchConfig(b_max=0), 5, SyntheticOracle())
 
 
 def test_top_m_table():
-    trace = random_search(30, 2, SyntheticOracle(), seed=1)
+    trace = random_search(SearchConfig(b_max=2, seed=1), 30, SyntheticOracle())
     rows = top_m_table(trace, m_values=(1, 5))
     assert len(rows) == 30
     assert rows[-1]["top1"] == max(trace.accuracies())

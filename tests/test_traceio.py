@@ -1,5 +1,6 @@
 """JSON-lines traces and CSV/JSON summaries."""
 
+import csv
 import json
 import os
 
@@ -112,6 +113,23 @@ def test_write_json_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
         write_json(str(path), {"status": "completed"})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_write_summary_csv_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "summary.csv"
+    write_summary_csv(str(path), [{"a": 1.0}])
+    before = path.read_bytes()
+    assert before == b"a\n1.0\n"
+
+    def torn_writerow(self, row):
+        self.writer.writerow(["2."])
+        raise KeyboardInterrupt  # a kill in the middle of the write
+
+    monkeypatch.setattr(csv.DictWriter, "writerow", torn_writerow)
+    with pytest.raises(KeyboardInterrupt):
+        write_summary_csv(str(path), [{"a": 2.0}])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["summary.csv"]
 
 
 def test_write_json_onto_a_directory_leaves_no_file(tmp_path):
