@@ -215,6 +215,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     # construct before touching the output directory so bad evaluator
     # options fail without leaving a half-written run behind
+    if args.strategy == "pnas" and config.predictor == "perfect" and args.evaluator != "synthetic":
+        raise ConfigError("--predictor perfect scores with the synthetic oracle, so it needs --evaluator synthetic")
     evaluator, evaluator_entry = _make_evaluator(args.evaluator, args.sigma, args.table, args.worker_cmd)
     manifest = {
         "format_version": 1,
@@ -274,7 +276,6 @@ def cmd_harness(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             b_max=args.blocks,
             kinds=kinds,
-            epochs=args.epochs,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -393,7 +394,6 @@ def build_parser() -> _Parser:
     harness.add_argument("-K", "--sample-size", dest="sample_size", type=int, default=HarnessConfig.sample_size)
     harness.add_argument("-R", "--pool-size", dest="pool_size", type=int, default=HarnessConfig.pool_size)
     harness.add_argument("-B", "--blocks", type=int, default=HarnessConfig.b_max)
-    harness.add_argument("-E", "--epochs", type=int, default=HarnessConfig.epochs)
     harness.add_argument("--perfect", action="store_true", help="oracle-passthrough predictor on the noise-free oracle")
     harness.add_argument("--sigma", type=float, default=SyntheticOracleConfig.noise_sigma)
     harness.add_argument("--seed", type=int, default=HarnessConfig.seed)

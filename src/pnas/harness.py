@@ -31,8 +31,7 @@ import numpy as np
 from .cells import B_MAX, CellSpec, cell_key, one_block_cells, random_cell
 from .evaluators import EvalRequest
 from .metrics import spearman
-from .network import StackPlan
-from .predictors import PredictorConfig, fork_map
+from .predictors import fork_map
 from .search import PREDICTOR_KINDS, make_surrogate
 from .seeding import derive_seed
 
@@ -52,7 +51,6 @@ class HarnessConfig:
     pool_size: int = 1000
     b_max: int = 5
     kinds: tuple[str, ...] = TRAINED_KINDS
-    epochs: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -60,9 +58,11 @@ class HarnessConfig:
             raise ValueError(
                 f"sample_size {self.sample_size} exceeds pool_size {self.pool_size}"
             )
-        for name in ("trials", "sample_size", "pool_size", "epochs"):
+        for name in ("trials", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sample_size < 2:
+            raise ValueError(f"sample_size must be >= 2 (a rank correlation needs two points), got {self.sample_size}")
         if not 2 <= self.b_max <= B_MAX:
             raise ValueError(f"b_max must be in [2, {B_MAX}], got {self.b_max}")
         if not self.kinds:
@@ -110,8 +110,8 @@ def distinct_random_cells(count: int, b: int, seed: int) -> list[CellSpec]:
     return cells
 
 
-def _measure(evaluator, cells, config: HarnessConfig, eval_seed: int) -> np.ndarray:
-    request = EvalRequest(cells=tuple(cells), epochs=config.epochs, plan=StackPlan(), seed=eval_seed)
+def _measure(evaluator, cells, eval_seed: int) -> np.ndarray:
+    request = EvalRequest(cells=tuple(cells), seed=eval_seed)
     records = evaluator.evaluate(request)
     for rec in records:
         if not rec.ok:
@@ -128,13 +128,13 @@ def harness_seeds(config: HarnessConfig) -> dict:
     }
 
 
-def predictor_harness(config: HarnessConfig, evaluator, base: PredictorConfig | None = None) -> CorrelationReport:
+def predictor_harness(config: HarnessConfig, evaluator) -> CorrelationReport:
     """Measure within-level and one-level-up rank correlations per predictor kind."""
     seeds = harness_seeds(config)
     pools: dict[int, list[CellSpec]] = {1: sorted(one_block_cells(), key=cell_key)}
     for b, pool_seed in seeds["pools"].items():
         pools[b] = distinct_random_cells(config.pool_size, b, pool_seed)
-    measured = {b: _measure(evaluator, pools[b], config, seeds["eval"]) for b in pools}
+    measured = {b: _measure(evaluator, pools[b], seeds["eval"]) for b in pools}
 
     levels = tuple(range(1, config.b_max))
     jobs = [(kind, b, t) for kind in config.kinds for b in levels for t in range(config.trials)]
@@ -145,7 +145,7 @@ def predictor_harness(config: HarnessConfig, evaluator, base: PredictorConfig | 
         draw = np.random.default_rng(derive_seed(config.seed, "sample", t, b))
         idx = draw.choice(len(pools[b]), size=min(config.sample_size, len(pools[b])), replace=False)
         sample = [pools[b][i] for i in idx]
-        surrogate = make_surrogate(kind, derive_seed(config.seed, "predictor", kind, t, b), evaluator, base)
+        surrogate = make_surrogate(kind, derive_seed(config.seed, "predictor", kind, t, b), evaluator)
         surrogate.update(sample, measured[b][idx], b)
         return idx, surrogate.predict(sample), surrogate.predict(pools[b + 1])
 

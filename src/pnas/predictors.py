@@ -65,13 +65,15 @@ mask, and allocates only its z >= 0 mask; a backward step forms each
 gate's gradient and multiplies all four by their activations'
 derivatives at once, and allocates nothing.
 
-Both train with one fixed recipe: L1 loss (subgradient 0 at the kink)
-under full-batch Adam, learning rate ``LR_FIRST_LEVEL`` (0.01) at level 1
-and ``LR_LATER_LEVELS`` (0.002) afterwards. The output bias starts at
-``FINAL_BIAS`` (1.8), so a fresh model predicts sigmoid(1.8) = 0.86, the
-mean one-block accuracy prior, and the MLP has ``MLP_LAYERS`` (2) hidden
-layers. Bagged 5-member ensembles refit each member from scratch on 4/5
-of the data.
+Both are built from their kind and seed alone and train with one fixed
+recipe: ``EMBED_DIM`` (100) wide embeddings and ``HIDDEN`` (100) hidden
+units, L1 loss (subgradient 0 at the kink) under full-batch Adam, for
+``EPOCHS_FIRST_LEVEL`` (200) epochs at learning rate ``LR_FIRST_LEVEL``
+(0.01) at level 1 and ``EPOCHS_LATER_LEVELS`` (100) at ``LR_LATER_LEVELS``
+(0.002) afterwards. The output bias starts at ``FINAL_BIAS`` (1.8), so a
+fresh model predicts sigmoid(1.8) = 0.86, the mean one-block accuracy
+prior, and the MLP has ``MLP_LAYERS`` (2) hidden layers. Bagged 5-member
+ensembles refit each member from scratch on 4/5 of the data.
 
 A predictor keeps its parameters in one flat float64 vector (``flat``);
 ``params`` maps each name to a view of it. ``fit`` allocates the
@@ -94,7 +96,7 @@ parent's pages and inherit the pin; each sends back its results through
 a pipe, and they are returned in job order. ``ensemble_fit`` fits its
 members through it, and so does the rank-correlation harness
 (``pnas.harness``) with its independent fits. A member's fit reads only
-its config, rows, targets and level, and the vectors are loaded in
+its kind, seed, rows, targets and level, and the vectors are loaded in
 member order, so the ensemble and everything computed from it are
 bit-identical whatever the worker count. Scoring stays in the calling
 process.
@@ -110,7 +112,7 @@ import ctypes
 import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,8 +130,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # the paper's training recipe, the same for every predictor
+EMBED_DIM = 100
+HIDDEN = 100
 MLP_LAYERS = 2
 FINAL_BIAS = 1.8
+EPOCHS_FIRST_LEVEL = 200
+EPOCHS_LATER_LEVELS = 100
 LR_FIRST_LEVEL = 0.01
 LR_LATER_LEVELS = 0.002
 
@@ -175,29 +181,6 @@ def _pin_blas() -> bool:
 
 
 _BLAS_PINNED = _pin_blas()
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    kind: str = "mlp"
-    embed_dim: int = 100
-    hidden: int = 100
-    epochs_first_level: int = 200
-    epochs_later_levels: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("mlp", "rnn"):
-            raise ValueError(f"predictor kind must be 'mlp' or 'rnn', got {self.kind!r}")
-        for name in ("embed_dim", "hidden", "epochs_first_level", "epochs_later_levels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def lr(self, level: int) -> float:
-        return LR_FIRST_LEVEL if level == 1 else LR_LATER_LEVELS
-
-    def epochs(self, level: int) -> int:
-        return self.epochs_first_level if level == 1 else self.epochs_later_levels
 
 
 def _cell_blocks(cells) -> tuple[np.ndarray, np.ndarray]:
@@ -340,11 +323,9 @@ class Predictor:
 
     kind = ""
 
-    def __init__(self, config: PredictorConfig) -> None:
-        if config.kind != self.kind:
-            raise ValueError(f"config kind {config.kind!r} does not match model kind {self.kind!r}")
-        self.config = config
-        rng = np.random.default_rng(derive_seed(config.seed, "init", self.kind))
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        rng = np.random.default_rng(derive_seed(seed, "init", self.kind))
         params = self._init_params(rng)
         self._shapes = [(key, value.shape) for key, value in params.items()]
         self.flat = np.concatenate([value.ravel() for value in params.values()])
@@ -414,8 +395,9 @@ class Predictor:
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
         batch = self.encode(cells)
-        optimizer = _Adam(self.flat, self.config.lr(level))
-        history = np.empty(self.config.epochs(level))
+        first = level == 1
+        optimizer = _Adam(self.flat, LR_FIRST_LEVEL if first else LR_LATER_LEVELS)
+        history = np.empty(EPOCHS_FIRST_LEVEL if first else EPOCHS_LATER_LEVELS)
         work = self._workspace(batch)
         for epoch in range(len(history)):
             history[epoch], _ = self.loss_and_grads(batch, targets, work)
@@ -427,7 +409,7 @@ class MLPPredictor(Predictor):
     kind = "mlp"
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        d, h = self.config.embed_dim, self.config.hidden
+        d, h = EMBED_DIM, HIDDEN
         params = {
             "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, d)),
             "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, d)),
@@ -469,7 +451,7 @@ class MLPPredictor(Predictor):
 
     def _slot_weights(self) -> list[tuple[str, slice, slice]]:
         """(embedding table, rows of w0, columns of the slot counts) of each slot."""
-        d = self.config.embed_dim
+        d = EMBED_DIM
         tables = ("embed_in", "embed_in", "embed_op", "embed_op")
         return [
             (table, slice(s * d, (s + 1) * d), slice(offset, offset + vocab))
@@ -477,7 +459,7 @@ class MLPPredictor(Predictor):
         ]
 
     def _forward_buffers(self, n: int) -> dict[str, np.ndarray]:
-        h = self.config.hidden
+        h = HIDDEN
         return {
             "projected": np.empty((SLOT_WIDTH, h)),
             "hidden": np.empty((MLP_LAYERS, n, h)),
@@ -485,13 +467,13 @@ class MLPPredictor(Predictor):
         }
 
     def _buffers(self, batch: SlotCounts) -> dict[str, np.ndarray]:
-        n, h = len(batch), self.config.hidden
+        n, h = len(batch), HIDDEN
         return {
             **self._forward_buffers(n),
             "dh": np.empty((n, h)),
             "da": np.empty((n, h)),
             "d_counts": np.empty((SLOT_WIDTH, h)),
-            "d_embed": np.empty((max(SLOT_VOCABS), self.config.embed_dim)),
+            "d_embed": np.empty((max(SLOT_VOCABS), EMBED_DIM)),
         }
 
     def _forward(self, counts: SlotCounts, work=None) -> tuple[np.ndarray, np.ndarray]:
@@ -559,7 +541,7 @@ class RNNPredictor(Predictor):
     kind = "rnn"
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        d, h = self.config.embed_dim, self.config.hidden
+        d, h = EMBED_DIM, HIDDEN
         return {
             # the tables come first, inputs then operators, so _vocab can read them as one view
             "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, d)),
@@ -590,11 +572,11 @@ class RNNPredictor(Predictor):
 
     def _vocab(self, flat: np.ndarray) -> np.ndarray:
         """Both embedding tables as one (19, d) view, inputs then operators, of a vector laid out like `flat`."""
-        return flat[: len(STEP_VOCAB) * self.config.embed_dim].reshape(len(STEP_VOCAB), -1)
+        return flat[: len(STEP_VOCAB) * EMBED_DIM].reshape(len(STEP_VOCAB), -1)
 
     def _projections(self) -> tuple[np.ndarray, np.ndarray]:
         """The stacked vocabulary projected into the gates (19 x 4h), and the recurrent weights."""
-        d = self.config.embed_dim
+        d = EMBED_DIM
         return self._vocab(self.flat) @ self.params["w"][:d], self.params["w"][d:]
 
     def _state_buffers(self, rows: int, kept: int, states: int) -> dict[str, np.ndarray]:
@@ -605,7 +587,7 @@ class RNNPredictor(Predictor):
         input term, the sigmoid's exponentials, and in the backward pass
         each gate's gradient before its activation's derivative.
         """
-        hd = self.config.hidden
+        hd = HIDDEN
         return {
             "gates": np.empty(kept * 4 * hd),
             "tanh_c": np.empty(kept * hd),
@@ -620,7 +602,7 @@ class RNNPredictor(Predictor):
         Every group works in views of their leading elements, so a
         mixed-length batch holds the largest group's states, not their sum.
         """
-        hd = self.config.hidden
+        hd = HIDDEN
         rows = max(len(group_rows) for group_rows, _ in batch.groups)
         kept = max(tokens.size for _, tokens in batch.groups)
         states = max(tokens.size + len(group_rows) for group_rows, tokens in batch.groups)
@@ -645,7 +627,7 @@ class RNNPredictor(Predictor):
         through ``out=`` and allocates only the sigmoid's z >= 0 mask.
         """
         proj, wh = projections
-        hd = self.config.hidden
+        hd = HIDDEN
         m, steps = vocab_rows.shape
         kept, depth = (steps, steps + 1) if work is not None else (1, 1)
         if work is None:
@@ -698,7 +680,7 @@ class RNNPredictor(Predictor):
             m = len(rows)
             n_blocks = -(-m // SCORE_ROWS)
             bounds = [m * k // n_blocks for k in range(n_blocks + 1)]
-            h_last = np.empty((m, self.config.hidden))
+            h_last = np.empty((m, HIDDEN))
             for lo, hi in zip(bounds, bounds[1:]):
                 h_last[lo:hi] = self._run(tokens[lo:hi] + STEP_ROWS[: tokens.shape[1]], projections)[0]
             out[rows] = self._output(h_last)
@@ -715,7 +697,7 @@ class RNNPredictor(Predictor):
         batch = self.encode(cells)
         n = len(batch)
         p = self.params
-        d, hd = self.config.embed_dim, self.config.hidden
+        d, hd = EMBED_DIM, HIDDEN
         projections = self._projections()
         proj, wh = projections
         work = work or self._workspace(batch)
@@ -775,8 +757,8 @@ class RNNPredictor(Predictor):
         return loss / n, grads
 
 
-def new_predictor(config: PredictorConfig) -> Predictor:
-    return MLPPredictor(config) if config.kind == "mlp" else RNNPredictor(config)
+def new_predictor(kind: str, seed: int) -> Predictor:
+    return MLPPredictor(seed) if kind == "mlp" else RNNPredictor(seed)
 
 
 @dataclass(frozen=True)
@@ -850,8 +832,8 @@ def _fork_worker(conn, readers: list, fn, jobs: list, label: str, parent: int) -
     conn.close()
 
 
-def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map worker") -> list:
-    """[fn(job) for job in jobs], computed in up to `workers` (default `_free_cpus()`) forked processes.
+def fork_map(fn, jobs, label: str = "a fork_map worker") -> list:
+    """[fn(job) for job in jobs], computed in min(jobs, `_free_cpus()`) forked processes.
 
     Worker w takes jobs w, w + workers, ... and sends its results back
     through a pipe; the parent takes them as they arrive and returns them
@@ -866,7 +848,7 @@ def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map work
     are doing. Either way the other workers are terminated and joined.
     """
     jobs = list(jobs)
-    workers = min(len(jobs), _free_cpus() if workers is None else workers)
+    workers = min(len(jobs), _free_cpus())
     if workers <= 1 or _IN_WORKER:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, not at module level: commands that never fork do not load it
@@ -908,7 +890,7 @@ def fork_map(fn, jobs, workers: int | None = None, label: str = "a fork_map work
     return [shares[i % workers][i // workers] for i in range(len(jobs))]
 
 
-def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ensemble:
+def ensemble_fit(cells, accuracies, kind: str, seed: int, level: int) -> Ensemble:
     """Fit ENSEMBLE_SIZE fresh members, each holding out a disjoint fifth.
 
     Each member encodes its own rows of the training set, in ascending
@@ -918,16 +900,13 @@ def ensemble_fit(cells, accuracies, config: PredictorConfig, level: int) -> Ense
 
     The members fit through `fork_map`, in min(ENSEMBLE_SIZE,
     `_free_cpus()`) forked processes that share the parent's pages and its
-    one-thread BLAS pin. Each fit depends only on its member's config, rows,
-    targets and level, and the trained parameters are loaded in member
+    one-thread BLAS pin. Each fit depends only on its member's kind, seed,
+    rows, targets and level, and the trained parameters are loaded in member
     order, so the ensemble is bit-identical whatever the worker count.
     """
     targets = np.asarray(accuracies, dtype=float)
-    folds = ensemble_folds(len(cells), derive_seed(config.seed, "folds", level))
-    members = tuple(
-        new_predictor(replace(config, seed=derive_seed(config.seed, "member", level, index)))
-        for index in range(ENSEMBLE_SIZE)
-    )
+    folds = ensemble_folds(len(cells), derive_seed(seed, "folds", level))
+    members = tuple(new_predictor(kind, derive_seed(seed, "member", level, index)) for index in range(ENSEMBLE_SIZE))
 
     def fit(index: int) -> np.ndarray:
         keep = np.setdiff1d(np.arange(len(cells)), folds[index])

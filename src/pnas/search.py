@@ -8,11 +8,11 @@ and refits the surrogate from scratch on everything measured so far.
 
 Children are never built one tuple at a time. The beam and the canonical
 blocks become integer arrays, and their cross product is scored as
-(n, b, 4) id arrays in chunks of whole parent expansions (one parent per
-chunk when a single expansion is larger than the chunk size), after one
-vectorised range check per chunk. The surrogate receives every child;
-an MLP surrogate runs its forward pass once per distinct slot-count row
-of the chunk and gathers the scores back. The K-th best score is found
+(n, b, 4) id arrays in chunks of whole parent expansions, at most
+``CHUNK_SIZE`` children each (one parent per chunk when a single
+expansion is larger), after one vectorised range check per chunk. The
+surrogate receives every child; an MLP surrogate runs its forward pass
+once per distinct slot-count row of the chunk and gathers the scores back. The K-th best score is found
 with ``np.partition``; only the children at or above it, exact ties included,
 get a cell key, and those are ordered by (-predicted, key). The beam is
 therefore exactly the one a full sort by (-predicted, key) gives.
@@ -38,7 +38,7 @@ events are written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,10 +56,11 @@ from .cells import (
 from .evaluators import EvalRecord, EvalRequest, EvaluatorError, SyntheticOracle
 from .metrics import top_m_curve
 from .network import StackPlan
-from .predictors import PredictorConfig, ensemble_fit, new_predictor, snapshot_id
+from .predictors import ensemble_fit, new_predictor, snapshot_id
 from .seeding import derive_seed
 
 PREDICTOR_KINDS = ("mlp", "rnn", "mlp-ens", "rnn-ens", "perfect")
+CHUNK_SIZE = 32_768
 
 # examples consumed per proxy-training epoch (train split of the image
 # benchmark); budget arithmetic only, nothing is actually trained
@@ -79,12 +80,11 @@ class SearchConfig:
     cell_repeats: int = 2
     predictor: str = "mlp-ens"
     seed: int = 0
-    chunk_size: int = 32_768
 
     def __post_init__(self) -> None:
         if not 1 <= self.b_max <= B_MAX:
             raise ValueError(f"b_max must be in [1, {B_MAX}], got {self.b_max}")
-        for name in ("beam_size", "epochs", "filters", "cell_repeats", "chunk_size"):
+        for name in ("beam_size", "epochs", "filters", "cell_repeats"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.predictor not in PREDICTOR_KINDS:
@@ -168,23 +168,20 @@ def top_m_table(trace: SearchTrace, m_values: Sequence[int] = (1, 5, 25)) -> lis
 class ModelSurrogate:
     """Learned predictor (single or 5-member bag), refit from scratch on update."""
 
-    def __init__(self, kind: str, seed: int, base: PredictorConfig | None = None) -> None:
+    def __init__(self, kind: str, seed: int) -> None:
         if kind not in PREDICTOR_KINDS or kind == "perfect":
             raise ValueError(f"learned surrogate kind must be one of {PREDICTOR_KINDS[:-1]}, got {kind!r}")
         self.bagged = kind.endswith("-ens")
-        base = base or PredictorConfig(kind=kind.removesuffix("-ens"))
-        if base.kind != kind.removesuffix("-ens"):
-            raise ValueError(f"base config kind {base.kind!r} does not match surrogate kind {kind!r}")
-        self.base = base
+        self.kind = kind.removesuffix("-ens")
         self.seed = seed
         self.model = None
 
     def update(self, cells, accuracies, level: int) -> str:
-        config = replace(self.base, seed=derive_seed(self.seed, "refit", level))
+        seed = derive_seed(self.seed, "refit", level)
         if self.bagged:
-            self.model = ensemble_fit(cells, accuracies, config, level)
+            self.model = ensemble_fit(cells, accuracies, self.kind, seed, level)
         else:
-            model = new_predictor(config)
+            model = new_predictor(self.kind, seed)
             model.fit(cells, np.asarray(accuracies, dtype=float), level)
             self.model = model
         return snapshot_id(self.model)
@@ -210,12 +207,12 @@ class OracleSurrogate:
         return np.asarray([self.oracle.score(cell) for cell in cells])
 
 
-def make_surrogate(kind: str, seed: int, evaluator=None, base: PredictorConfig | None = None):
+def make_surrogate(kind: str, seed: int, evaluator=None):
     if kind == "perfect":
         if not isinstance(evaluator, SyntheticOracle):
             raise ValueError("the perfect surrogate needs the synthetic evaluator as its oracle")
         return OracleSurrogate(evaluator)
-    return ModelSurrogate(kind, seed, base)
+    return ModelSurrogate(kind, seed)
 
 
 def _emit(writer, **event) -> None:
@@ -298,7 +295,7 @@ def search_seeds(seed: int) -> dict[str, int]:
     }
 
 
-def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: PredictorConfig | None = None) -> SearchTrace:
+def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
     """Run the progressive search and return its full trace.
 
     An evaluator exception propagates unchanged; everything emitted to the
@@ -308,7 +305,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
     plan = StackPlan(n=config.cell_repeats, f=config.filters)
     seeds = search_seeds(config.seed)
     eval_seed, predictor_seed = seeds["eval"], seeds["predictor"]
-    surrogate = make_surrogate(config.predictor, predictor_seed, evaluator, predictor_config)
+    surrogate = make_surrogate(config.predictor, predictor_seed, evaluator)
 
     beam = sorted(one_block_cells(), key=cell_key)
     train_cells: list[CellSpec] = []
@@ -329,7 +326,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None, predictor_config: 
                 seed=config.seed,
             )
 
-            scores = score_children(surrogate, np.asarray(beam), np.asarray(blocks), config.chunk_size)
+            scores = score_children(surrogate, np.asarray(beam), np.asarray(blocks), CHUNK_SIZE)
             best = top_children(scores, beam, blocks, config.beam_size)
 
             predicted = {key: -neg for neg, key, _ in best}

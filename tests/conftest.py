@@ -1,6 +1,8 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
+import pnas.predictors
 from pnas.cells import NUM_OPERATORS, BlockSpec, canonicalize
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -28,3 +30,20 @@ def raw_cells(draw, max_blocks: int = 4):
 @st.composite
 def canonical_cells(draw, max_blocks: int = 4):
     return canonicalize(draw(raw_cells(max_blocks)))
+
+
+@pytest.fixture
+def shrink():
+    """shrink(EMBED_DIM=..., HIDDEN=..., ...): set predictor recipe constants for this test.
+
+    The constants are patched in ``pnas.predictors`` itself, so models built
+    after the call, forked fit workers' among them, take the smaller recipe.
+    The patches are undone after the test, whatever it does with its own
+    ``monkeypatch``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        def apply(**constants):
+            for name, value in constants.items():
+                patch.setattr(pnas.predictors, name, value)
+
+        yield apply

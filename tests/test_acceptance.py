@@ -29,12 +29,7 @@ from pnas.evaluators import SyntheticOracle, SyntheticOracleConfig
 from pnas.harness import HarnessConfig, distinct_random_cells, predictor_harness
 from pnas.metrics import spearman, top_m_curve
 from pnas.network import StackPlan, build_network, count_costs, op_cost
-from pnas.predictors import (
-    PredictorConfig,
-    ensemble_fit,
-    gradient_check,
-    new_predictor,
-)
+from pnas.predictors import ensemble_fit, gradient_check, new_predictor
 from pnas.search import SearchConfig, compute_cost, plan_budget, pnas_search, random_search
 from pnas.traceio import read_trace
 
@@ -103,14 +98,13 @@ def test_criterion_04_predictor_harness_pattern():
             assert fits[0] >= 0.8, f"{kind} level-1 fit {fits[0]:.4f} below 0.8"
 
 
-def test_criterion_05_gradient_correctness():
+def test_criterion_05_gradient_correctness(shrink):
     with criterion(5, "gradient checks"):
         worst = 0.0
         rng = np.random.default_rng(0)
+        shrink(EMBED_DIM=6, HIDDEN=5)
         for kind, draw in itertools.product(("mlp", "rnn"), range(10)):
-            model = new_predictor(
-                PredictorConfig(kind=kind, embed_dim=6, hidden=5, seed=draw)
-            )
+            model = new_predictor(kind, draw)
             cell = random_cell(int(rng.integers(1, 4)), rng)
             prob = float(model.predict([cell])[0])
             target = 0.15 if prob > 0.5 else 0.95  # stay away from the L1 kink
@@ -129,8 +123,7 @@ def test_criterion_06_ensemble_variance():
         accs = np.asarray([oracle.noisy_accuracy(c, seed=7) for c in train])
         single_preds, ensemble_preds = [], []
         for refit in range(20):
-            config = PredictorConfig(kind="mlp", seed=1000 + refit)
-            ens = ensemble_fit(train, accs, config, level=2)
+            ens = ensemble_fit(train, accs, "mlp", 1000 + refit, level=2)
             ensemble_preds.append(ens.predict(held))
             single_preds.append(ens.members[0].predict(held))
         var_single = np.var(np.asarray(single_preds), axis=0).mean()

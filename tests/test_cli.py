@@ -17,7 +17,7 @@ import pytest
 import pnas
 from pnas.cells import one_block_cells
 from pnas.cli import build_parser, load_config_file, main
-from pnas.evaluators import SyntheticOracle, SyntheticOracleConfig, write_table
+from pnas.evaluators import EvalRequest, SyntheticOracle, SyntheticOracleConfig, write_table
 from pnas.harness import HarnessConfig
 from pnas.predictors import _BLAS_PINNED
 from pnas.search import EXAMPLES_PER_EPOCH, SearchConfig, plan_budget
@@ -293,7 +293,7 @@ def test_flag_defaults_are_the_config_defaults():
     assert (harness.trials, harness.sample_size, harness.pool_size) == (
         config.trials, config.sample_size, config.pool_size
     )
-    assert (harness.blocks, harness.epochs, harness.seed) == (config.b_max, config.epochs, config.seed)
+    assert (harness.blocks, harness.seed) == (config.b_max, config.seed)
     assert tuple(harness.predictors.split(",")) == config.kinds
     assert harness.sigma == SyntheticOracleConfig().noise_sigma
 
@@ -304,7 +304,7 @@ def test_config_file_keys():
         "predictor", "evaluator", "table", "worker_cmd", "sigma", "seed", "out",
     ])
     assert sorted(subcommand("harness").config_actions()) == sorted([
-        "predictors", "trials", "sample_size", "pool_size", "blocks", "epochs", "sigma", "seed", "out",
+        "predictors", "trials", "sample_size", "pool_size", "blocks", "sigma", "seed", "out",
     ])
     assert subcommand("count").config_actions() == {}
     assert subcommand("build").config_actions() == {}
@@ -373,8 +373,11 @@ def test_lock_of_a_killed_run_is_free(tmp_path, capsys):
 HOLD_RUN_DIR_IN_WORKERS = """
 import sys, time
 import numpy as np
+import pnas.predictors
 from pnas.cli import _run_dir
 from pnas.predictors import fork_map
+
+pnas.predictors._free_cpus = lambda: 2
 
 def job(j):
     time.sleep(2)
@@ -382,7 +385,7 @@ def job(j):
 
 with _run_dir(sys.argv[1], {}):
     print("locked", flush=True)
-    fork_map(job, range(2), workers=2)
+    fork_map(job, range(2))
 """
 
 
@@ -461,8 +464,6 @@ def test_leftover_lock_file_naming_a_live_pid_does_not_block(tmp_path, capsys):
 def test_tabular_backend_happy_and_missing(tmp_path, capsys):
     table = tmp_path / "bench.csv"
     oracle = SyntheticOracle()
-    from pnas.evaluators import EvalRequest
-
     records = oracle.evaluate(EvalRequest(cells=tuple(one_block_cells()), seed=0))
     write_table(str(table), records)
 
@@ -486,6 +487,27 @@ def test_tabular_backend_happy_and_missing(tmp_path, capsys):
     manifest = json.loads((miss_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert_unlocked(miss_dir)  # released on failure too
+
+
+def test_perfect_predictor_needs_the_synthetic_evaluator(tmp_path, capsys):
+    table = tmp_path / "bench.csv"
+    write_table(str(table), SyntheticOracle().evaluate(EvalRequest(cells=tuple(one_block_cells()), seed=0)))
+    backends = {"tabular": ["--table", str(table)], "external": ["--worker-cmd", shlex.quote(sys.executable)]}
+    for backend, options in backends.items():
+        out_dir = tmp_path / backend
+        code, _, err = run(
+            capsys, "search", "-B", "1", "--predictor", "perfect", "--evaluator", backend, *options,
+            "--out", str(out_dir),
+        )
+        assert code == 1 and "--predictor perfect" in err and "needs --evaluator synthetic" in err
+        assert not out_dir.exists()
+
+    # the random strategy builds no surrogate, so any evaluator serves it
+    code, _, _ = run(
+        capsys, "search", "--strategy", "random", "--count", "5", "-B", "1", "--predictor", "perfect",
+        "--evaluator", "tabular", "--table", str(table), "--out", str(tmp_path / "random"),
+    )
+    assert code == 0
 
 
 def test_tabular_backend_config_errors(tmp_path, capsys):
@@ -614,6 +636,20 @@ def test_harness_sample_exceeds_pool(tmp_path, capsys):
     )
     assert code == 1
     assert "exceeds pool_size" in err
+
+
+def test_harness_needs_two_samples_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("fitted a predictor")
+
+    monkeypatch.setattr("pnas.predictors.Predictor.fit", no_fit)
+    out_dir = tmp_path / "x"
+    code, _, err = run(
+        capsys, "harness", "--predictors", "mlp", "-T", "1", "-K", "1", "-R", "20", "-B", "2", "--out", str(out_dir)
+    )
+    assert code == 1
+    assert "sample_size must be >= 2 (a rank correlation needs two points), got 1" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_flag_and_missing_command(capsys):

@@ -14,12 +14,15 @@ from pnas.harness import (
     distinct_random_cells,
     predictor_harness,
 )
-from pnas.predictors import Predictor, PredictorConfig
+from pnas.predictors import Predictor
 
-TINY = PredictorConfig(
-    kind="mlp", embed_dim=12, hidden=10, epochs_first_level=30, epochs_later_levels=20
-)
-TINY_RNN = PredictorConfig(kind="rnn", embed_dim=8, hidden=8, epochs_first_level=20, epochs_later_levels=10)
+TINY = dict(EMBED_DIM=12, HIDDEN=10, EPOCHS_FIRST_LEVEL=30, EPOCHS_LATER_LEVELS=20)
+TINY_RNN = dict(EMBED_DIM=8, HIDDEN=8, EPOCHS_FIRST_LEVEL=20, EPOCHS_LATER_LEVELS=10)
+
+
+@pytest.fixture
+def tiny(shrink):
+    shrink(**TINY)
 
 
 def tiny_config(**kw):
@@ -31,6 +34,8 @@ def tiny_config(**kw):
 def test_config_validation():
     with pytest.raises(ValueError, match="exceeds pool_size"):
         HarnessConfig(sample_size=100, pool_size=50)
+    with pytest.raises(ValueError, match="sample_size must be >= 2"):
+        HarnessConfig(sample_size=1)
     with pytest.raises(ValueError, match="b_max"):
         HarnessConfig(b_max=1)
     with pytest.raises(ValueError, match="unknown predictor kind"):
@@ -53,8 +58,8 @@ def test_distinct_random_cells():
         distinct_random_cells(137, b=1, seed=0)
 
 
-def test_harness_report_shape():
-    report = predictor_harness(tiny_config(), SyntheticOracle(), base=TINY)
+def test_harness_report_shape(tiny):
+    report = predictor_harness(tiny_config(), SyntheticOracle())
     assert report.kinds == ("mlp",)
     assert report.levels == (1, 2)
     for level in report.levels:
@@ -62,17 +67,17 @@ def test_harness_report_shape():
         assert len(report.extrapolate[("mlp", level)]) == 2
 
 
-def test_harness_coefficients_in_range_and_informative():
-    report = predictor_harness(tiny_config(trials=3), SyntheticOracle(), base=TINY)
+def test_harness_coefficients_in_range_and_informative(tiny):
+    report = predictor_harness(tiny_config(trials=3), SyntheticOracle())
     for values in list(report.fit.values()) + list(report.extrapolate.values()):
         assert all(-1.0 <= v <= 1.0 for v in values)
     # a trained predictor on a clean oracle must beat random ordering easily
     assert report.mean_fit("mlp", 1) > 0.5
 
 
-def test_harness_is_deterministic():
-    a = predictor_harness(tiny_config(), SyntheticOracle(), base=TINY)
-    b = predictor_harness(tiny_config(), SyntheticOracle(), base=TINY)
+def test_harness_is_deterministic(tiny):
+    a = predictor_harness(tiny_config(), SyntheticOracle())
+    b = predictor_harness(tiny_config(), SyntheticOracle())
     assert a.fit == b.fit
     assert a.extrapolate == b.extrapolate
 
@@ -113,15 +118,16 @@ def log_fits(monkeypatch, log):
     monkeypatch.setattr(Predictor, "fit", logged)
 
 
-@pytest.mark.parametrize("kinds, base", [(("mlp",), TINY), (("rnn", "rnn-ens"), TINY_RNN)], ids=["mlp", "rnn"])
-def test_harness_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, kinds, base):
+@pytest.mark.parametrize("kinds, recipe", [(("mlp",), TINY), (("rnn", "rnn-ens"), TINY_RNN)], ids=["mlp", "rnn"])
+def test_harness_report_does_not_depend_on_the_worker_count(monkeypatch, shrink, tmp_path, kinds, recipe):
+    shrink(**recipe)
     me = str(os.getpid())
     reports = {}
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
         log = tmp_path / f"fits-{workers}"
         log_fits(monkeypatch, log)
-        reports[workers] = predictor_harness(tiny_config(kinds=kinds), SyntheticOracle(), base=base)
+        reports[workers] = predictor_harness(tiny_config(kinds=kinds), SyntheticOracle())
         monkeypatch.undo()
         fits = [line.split() for line in log.read_text().splitlines()]
         # 2 levels x 2 trials per kind, and an ensemble job fits its 5 members
@@ -137,7 +143,7 @@ def test_harness_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_pat
     assert reports[3] == reports[1]
 
 
-def test_harness_raises_a_worker_exception_as_its_type(monkeypatch):
+def test_harness_raises_a_worker_exception_as_its_type(monkeypatch, tiny):
     force_workers(monkeypatch, 2)
     fit = Predictor.fit
 
@@ -148,6 +154,6 @@ def test_harness_raises_a_worker_exception_as_its_type(monkeypatch):
 
     monkeypatch.setattr(Predictor, "fit", failing)
     with pytest.raises(ZeroDivisionError, match="diverged") as info:
-        predictor_harness(tiny_config(), SyntheticOracle(), base=TINY)
+        predictor_harness(tiny_config(), SyntheticOracle())
     assert any("in a harness worker" in note for note in info.value.__notes__)
     assert not multiprocessing.active_children()

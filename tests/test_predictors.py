@@ -20,9 +20,9 @@ from pnas.predictors import (
     Ensemble,
     MLPPredictor,
     Predictor,
-    PredictorConfig,
     RNNPredictor,
     SlotCounts,
+    _Adam,
     _free_cpus,
     _pin_blas,
     _sigmoid,
@@ -36,11 +36,12 @@ from pnas.predictors import (
 
 from conftest import raw_cells
 
-SMALL = dict(embed_dim=12, hidden=10, epochs_first_level=60, epochs_later_levels=30)
+SMALL = dict(EMBED_DIM=12, HIDDEN=10, EPOCHS_FIRST_LEVEL=60, EPOCHS_LATER_LEVELS=30)
 
 
-def small_config(kind: str, seed: int = 0) -> PredictorConfig:
-    return PredictorConfig(kind=kind, seed=seed, **SMALL)
+@pytest.fixture
+def small(shrink):
+    shrink(**SMALL)
 
 
 def train_batch(n: int = 40, b: int = 2, seed: int = 3):
@@ -106,7 +107,7 @@ def test_slot_counts_follow_key_fields(cell):
 def test_factored_forward_matches_concatenated_embeddings():
     cells, accs = train_batch(n=30, b=3)
     more, _ = train_batch(n=10, b=7, seed=8)
-    model = new_predictor(PredictorConfig(kind="mlp", seed=2))
+    model = new_predictor("mlp", 2)
     model.fit(cells, accs, level=1)
     p = model.params
     ci1, ci2, co1, co2 = reference_slot_counts(cells + more)
@@ -138,9 +139,9 @@ def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
     base = np.asarray([random_cell(4, rng) for _ in range(9)])
     array = np.concatenate([base, base[:, ::-1], base[rng.permutation(9)], base[:, [2, 0, 3, 1]]])
     cells, accs = train_batch(n=40, b=3)
-    model = new_predictor(PredictorConfig(kind="mlp", seed=3))
+    model = new_predictor("mlp", 3)
     model.fit(cells, accs, level=1)
-    ens = ensemble_fit(cells, accs, PredictorConfig(kind="mlp", seed=4), level=1)
+    ens = ensemble_fit(cells, accs, "mlp", 4, level=1)
     for batch in (listed, array):
         rows = SlotCounts(np.hstack(reference_slot_counts(batch)))
         lengths = np.asarray([len(cell) for cell in batch])
@@ -162,13 +163,14 @@ def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
         monkeypatch.undo()
 
 
-def test_scoring_forwards_score_rows_at_a_time(monkeypatch):
+def test_scoring_forwards_score_rows_at_a_time(monkeypatch, shrink):
     rng = np.random.default_rng(13)
     batch = colliding_cells(rng)
     cells, accs = train_batch(n=40, b=3)
     for kind in ("mlp", "rnn"):
-        config = PredictorConfig(kind="mlp", seed=5) if kind == "mlp" else small_config("rnn", seed=5)
-        ens = ensemble_fit(cells, accs, config, level=1)
+        if kind == "rnn":
+            shrink(**SMALL)
+        ens = ensemble_fit(cells, accs, kind, 5, level=1)
         whole = ens.predict(batch)
         reached = []  # rows of each forward pass
         if kind == "mlp":
@@ -244,7 +246,7 @@ def pid_logging_fit(monkeypatch, log):
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_ensemble_fit_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, kind):
+def test_ensemble_fit_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, kind, small):
     cells, accs = train_batch(n=23, b=3)
     probe = [random_cell(b, np.random.default_rng(b)) for b in (1, 2, 4, 6)] + cells
     fits = {}
@@ -252,7 +254,7 @@ def test_ensemble_fit_does_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         force_workers(monkeypatch, workers)
         log = tmp_path / f"pids-{workers}"
         pid_logging_fit(monkeypatch, log)
-        ens = ensemble_fit(cells, accs, small_config(kind, seed=9), level=2)
+        ens = ensemble_fit(cells, accs, kind, 9, level=2)
         monkeypatch.undo()
         pids = log.read_text().split()
         assert len(pids) == ENSEMBLE_SIZE
@@ -264,11 +266,12 @@ def test_ensemble_fit_does_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         assert np.array_equal(fits[workers][2], fits[1][2])
 
 
-def test_fork_map_stripes_jobs_over_workers_and_never_nests():
+def test_fork_map_stripes_jobs_over_workers_and_never_nests(monkeypatch):
     def job(j):
-        return j * j, os.getpid(), fork_map(lambda _: os.getpid(), range(2), workers=2)
+        return j * j, os.getpid(), fork_map(lambda _: os.getpid(), range(2))
 
-    results = fork_map(job, range(7), workers=3)
+    force_workers(monkeypatch, 3)
+    results = fork_map(job, range(7))
     assert [square for square, _, _ in results] == [j * j for j in range(7)]
     pids = [pid for _, pid, _ in results]
     assert len(set(pids)) == 3 and os.getpid() not in pids
@@ -277,7 +280,7 @@ def test_fork_map_stripes_jobs_over_workers_and_never_nests():
     assert not multiprocessing.active_children()
 
 
-def test_fork_map_notices_a_dead_worker_at_once():
+def test_fork_map_notices_a_dead_worker_at_once(monkeypatch):
     def job(j):
         if j == 0:
             time.sleep(3)  # still busy when worker 1 dies
@@ -285,26 +288,27 @@ def test_fork_map_notices_a_dead_worker_at_once():
             os._exit(7)
         return j
 
+    force_workers(monkeypatch, 2)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="a fork_map worker exited with code 7"):
-        fork_map(job, range(2), workers=2)
+        fork_map(job, range(2))
     assert time.monotonic() - started < 1.5
     assert not multiprocessing.active_children()
 
 
-def test_ensemble_fit_raises_a_worker_exception_as_its_type(monkeypatch):
+def test_ensemble_fit_raises_a_worker_exception_as_its_type(monkeypatch, small):
     cells, accs = train_batch(n=20)
     force_workers(monkeypatch, 2)
     fit = Predictor.fit
 
     def failing(self, cells, accuracies, level):
-        if self.config.seed % 2:
-            raise ZeroDivisionError(f"member with seed {self.config.seed} diverged")
+        if self.seed % 2:
+            raise ZeroDivisionError(f"member with seed {self.seed} diverged")
         return fit(self, cells, accuracies, level)
 
     monkeypatch.setattr(Predictor, "fit", failing)
     with pytest.raises(ZeroDivisionError, match="diverged") as info:
-        ensemble_fit(cells, accs, small_config("mlp"), level=1)
+        ensemble_fit(cells, accs, "mlp", 0, level=1)
     assert any("in an ensemble fit worker" in note for note in info.value.__notes__)
     assert not multiprocessing.active_children()
 
@@ -344,12 +348,12 @@ def test_sigmoid_bit_equal_to_masked_branches():
     assert np.array_equal(whole.view(np.int64), masked_sigmoid(gates).view(np.int64))
 
 
-def test_lstm_workspace_reused_across_length_mixes():
+def test_lstm_workspace_reused_across_length_mixes(small):
     rng = np.random.default_rng(9)
     first = [random_cell(b, rng) for b in (3, 1, 3)]
     second = [random_cell(b, rng) for b in (2, 5)]
     targets = rng.uniform(0.3, 0.95, size=5)
-    model = new_predictor(small_config("rnn", seed=4))
+    model = new_predictor("rnn", 4)
     model.fit(first + second, targets, level=1)  # move every weight off its initial value
     work = model._workspace(RNNPredictor.encode(first))
     for cells, target in ((first, targets[:3]), (second, targets[3:]), (first, targets[:3])):
@@ -368,7 +372,7 @@ def unfactored_lstm(model, cells, targets):
     own weight gradients and scatters its embedding gradient with np.add.at.
     """
     p = model.params
-    d, hd = model.config.embed_dim, model.config.hidden
+    d, hd = p["embed_in"].shape[1], len(p["w_out"])
     wx, wh = p["w"][:d], p["w"][d:]
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
     grads = {key: np.zeros_like(value) for key, value in p.items()}
@@ -402,11 +406,11 @@ def unfactored_lstm(model, cells, targets):
     return probs, loss, grads
 
 
-def test_factored_lstm_matches_unfactored_reference():
+def test_factored_lstm_matches_unfactored_reference(small):
     rng = np.random.default_rng(7)
     cells = [random_cell(b, rng) for b in (2, 1, 3, 5, 2, 3, 1, 4) for _ in range(3)]
     targets = rng.uniform(0.3, 0.95, size=len(cells))
-    model = new_predictor(small_config("rnn", seed=5))
+    model = new_predictor("rnn", 5)
     model.fit(cells, targets, level=1)  # move every weight off its initial value
     probs, loss, grads = unfactored_lstm(model, cells, targets)
     got_loss, got_grads = model.loss_and_grads(cells, targets)
@@ -425,18 +429,18 @@ def assert_same_tokens(got, want):
         assert np.array_equal(tokens, want_tokens)
 
 
-def test_rnn_predicts_id_arrays_like_cells():
+def test_rnn_predicts_id_arrays_like_cells(small):
     rng = np.random.default_rng(8)
     cells = [random_cell(4, rng) for _ in range(25)]
-    model = new_predictor(small_config("rnn"))
+    model = new_predictor("rnn", 0)
     array = np.asarray(cells, dtype=np.int8)
     assert_same_tokens(RNNPredictor.encode(array), RNNPredictor.encode(cells))
     assert np.array_equal(model.predict(array), model.predict(cells))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_ids_outside_the_vocabulary_rejected(kind):
-    model = new_predictor(small_config(kind))
+def test_ids_outside_the_vocabulary_rejected(kind, small):
+    model = new_predictor(kind, 0)
     for block in (0, 1, 0, -1), (0, 1, 8, 0), (11, 0, 0, 0), (0, -1, 0, 0):
         with pytest.raises(ValueError, match="token ids"):
             model.predict([(block,)])
@@ -448,44 +452,44 @@ def test_ids_outside_the_vocabulary_rejected(kind):
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
 def test_fresh_prediction_near_bias(kind):
-    model = new_predictor(PredictorConfig(kind=kind))
+    model = new_predictor(kind, 0)
     prob = model.predict([parse_cell_key("1|0,4,1,4")])[0]
     assert abs(prob - 1 / (1 + np.exp(-1.8))) < 0.02
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_same_seed_same_model(kind):
-    a = new_predictor(small_config(kind, seed=11))
-    b = new_predictor(small_config(kind, seed=11))
+def test_same_seed_same_model(kind, small):
+    a = new_predictor(kind, 11)
+    b = new_predictor(kind, 11)
     assert snapshot_id(a) == snapshot_id(b)
-    c = new_predictor(small_config(kind, seed=12))
+    c = new_predictor(kind, 12)
     assert snapshot_id(a) != snapshot_id(c)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_fit_reduces_training_error(kind):
+def test_fit_reduces_training_error(kind, small):
     cells, accs = train_batch()
-    model = new_predictor(small_config(kind))
+    model = new_predictor(kind, 0)
     before = np.mean(np.abs(model.predict(cells) - accs))
     history = model.fit(cells, accs, level=1)
     after = np.mean(np.abs(model.predict(cells) - accs))
-    assert history.shape == (SMALL["epochs_first_level"],)
+    assert history.shape == (SMALL["EPOCHS_FIRST_LEVEL"],)
     assert after < before
     assert history[-1] < history[0]
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_fit_constant_labels(kind):
+def test_fit_constant_labels(kind, small):
     cells, _ = train_batch(n=20)
-    model = new_predictor(small_config(kind))
+    model = new_predictor(kind, 0)
     model.fit(cells, np.full(len(cells), 0.5), level=1)
     assert np.all(np.abs(model.predict(cells) - 0.5) < 0.02)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_predict_extrapolates_to_longer_cells(kind):
+def test_predict_extrapolates_to_longer_cells(kind, small):
     cells, accs = train_batch(n=30, b=2)
-    model = new_predictor(small_config(kind))
+    model = new_predictor(kind, 0)
     model.fit(cells, accs, level=1)
     rng = np.random.default_rng(0)
     longer = [random_cell(3, rng) for _ in range(10)]
@@ -494,41 +498,41 @@ def test_predict_extrapolates_to_longer_cells(kind):
     assert np.all((probs > 0.0) & (probs < 1.0))
 
 
-def test_mixed_length_batch_matches_per_length_calls():
+def test_mixed_length_batch_matches_per_length_calls(small):
     cells, accs = train_batch(n=20, b=1)
     more, _ = train_batch(n=20, b=3, seed=9)
-    model = new_predictor(small_config("rnn"))
+    model = new_predictor("rnn", 0)
     model.fit(cells + more, np.concatenate([accs, accs]), level=1)
     mixed = model.predict(cells + more)
     assert np.array_equal(mixed[:20], model.predict(cells))
     assert np.array_equal(mixed[20:], model.predict(more))
 
 
-def test_mlp_ignores_block_order_exactly():
+def test_mlp_ignores_block_order_exactly(small):
     # all blocks reference only cell inputs, so any order is a valid cell
     blocks = (BlockSpec(0, 1, 0, 1), BlockSpec(0, 0, 2, 3), BlockSpec(1, 1, 5, 6))
     shuffled = (blocks[2], blocks[0], blocks[1])
-    model = new_predictor(small_config("mlp"))
+    model = new_predictor("mlp", 0)
     assert np.array_equal(model.predict([blocks]), model.predict([shuffled]))
 
 
-def test_rnn_reads_block_order():
+def test_rnn_reads_block_order(small):
     blocks = (BlockSpec(0, 1, 0, 1), BlockSpec(0, 0, 2, 3), BlockSpec(1, 1, 5, 6))
     shuffled = (blocks[2], blocks[0], blocks[1])
-    model = new_predictor(small_config("rnn"))
+    model = new_predictor("rnn", 0)
     assert model.predict([blocks])[0] != model.predict([shuffled])[0]
 
 
-def test_oversized_cell_rejected():
+def test_oversized_cell_rejected(small):
     big = tuple(BlockSpec(0, 0, 0, 0) for _ in range(11))
-    model = new_predictor(small_config("mlp"))
+    model = new_predictor("mlp", 0)
     with pytest.raises(ValueError, match="at most 10"):
         model.predict([big])
 
 
-def test_fit_validation():
+def test_fit_validation(small):
     cells, accs = train_batch(n=5)
-    model = new_predictor(small_config("mlp"))
+    model = new_predictor("mlp", 0)
     with pytest.raises(ValueError, match="one accuracy per cell"):
         model.fit(cells, accs[:-1], level=1)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -539,21 +543,25 @@ def test_fit_validation():
         model.fit([], np.array([]), level=1)
 
 
-def test_config_validation_and_schedules():
-    with pytest.raises(ValueError, match="kind"):
-        PredictorConfig(kind="transformer")
-    with pytest.raises(ValueError, match="embed_dim"):
-        PredictorConfig(embed_dim=0)
-    config = PredictorConfig()
-    assert (config.lr(1), config.lr(2)) == (0.01, 0.002)
-    assert (config.epochs(1), config.epochs(3)) == (200, 100)
-    with pytest.raises(ValueError, match="does not match"):
-        MLPPredictor(PredictorConfig(kind="rnn"))
+def test_fit_schedules(monkeypatch, shrink):
+    shrink(EMBED_DIM=6, HIDDEN=5)
+    rates = []
+
+    class RecordingAdam(_Adam):
+        def __init__(self, params, lr):
+            rates.append(lr)
+            super().__init__(params, lr)
+
+    monkeypatch.setattr("pnas.predictors._Adam", RecordingAdam)
+    cells, accs = train_batch(n=5)
+    model = new_predictor("mlp", 0)
+    assert [len(model.fit(cells, accs, level)) for level in (1, 2, 3)] == [200, 100, 100]
+    assert rates == [0.01, 0.002, 0.002]
 
 
 def test_new_predictor_dispatch():
-    assert isinstance(new_predictor(PredictorConfig(kind="mlp")), MLPPredictor)
-    assert isinstance(new_predictor(PredictorConfig(kind="rnn")), RNNPredictor)
+    assert isinstance(new_predictor("mlp", 0), MLPPredictor)
+    assert isinstance(new_predictor("rnn", 0), RNNPredictor)
 
 
 def test_ensemble_folds_partition():
@@ -567,9 +575,9 @@ def test_ensemble_folds_partition():
     assert all(np.array_equal(a, b) for a, b in zip(folds, again))
 
 
-def test_ensemble_fit_and_predict():
+def test_ensemble_fit_and_predict(small):
     cells, accs = train_batch(n=15)
-    ens = ensemble_fit(cells, accs, small_config("mlp"), level=1)
+    ens = ensemble_fit(cells, accs, "mlp", 0, level=1)
     assert len(ens.members) == ENSEMBLE_SIZE
     ids = {snapshot_id(m) for m in ens.members}
     assert len(ids) == ENSEMBLE_SIZE  # different folds, different weights
@@ -577,43 +585,42 @@ def test_ensemble_fit_and_predict():
     assert np.array_equal(ens.predict(cells), want)
 
 
-def test_ensemble_fit_tiny_dataset():
+def test_ensemble_fit_tiny_dataset(small):
     cells, accs = train_batch(n=3)
-    ens = ensemble_fit(cells, accs, small_config("mlp"), level=1)
+    ens = ensemble_fit(cells, accs, "mlp", 0, level=1)
     probs = ens.predict(cells)
     assert probs.shape == (3,)
     assert np.all((probs > 0) & (probs < 1))
 
 
-def test_ensemble_of_clones_equals_single():
-    model = new_predictor(small_config("mlp"))
-    ens = Ensemble(tuple(new_predictor(small_config("mlp")) for _ in range(5)))
+def test_ensemble_of_clones_equals_single(small):
+    model = new_predictor("mlp", 0)
+    ens = Ensemble(tuple(new_predictor("mlp", 0) for _ in range(5)))
     cells = one_block_cells()[:10]
     assert np.allclose(ens.predict(cells), model.predict(cells), atol=1e-15)
 
 
-def test_ensemble_needs_members():
+def test_ensemble_needs_members(small):
     with pytest.raises(ValueError, match="at least one member"):
         Ensemble(())
     with pytest.raises(ValueError, match="one predictor kind"):
-        Ensemble((new_predictor(small_config("mlp")), new_predictor(small_config("rnn"))))
+        Ensemble((new_predictor("mlp", 0), new_predictor("rnn", 0)))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])
-def test_gradient_check(kind):
+def test_gradient_check(shrink, kind):
+    shrink(EMBED_DIM=6, HIDDEN=5)
     rng = np.random.default_rng(1)
     for trial in range(2):
-        model = new_predictor(
-            PredictorConfig(kind=kind, embed_dim=6, hidden=5, seed=trial)
-        )
+        model = new_predictor(kind, trial)
         cell = random_cell(2, rng)
         prob = float(model.predict([cell])[0])
         target = 0.2 if prob > 0.5 else 0.9
         assert gradient_check(model, cell, target) < 1e-4
 
 
-def test_gradient_check_kink_guard():
-    model = new_predictor(small_config("mlp"))
+def test_gradient_check_kink_guard(small):
+    model = new_predictor("mlp", 0)
     cell = parse_cell_key("1|0,4,1,4")
     prob = float(model.predict([cell])[0])
     with pytest.raises(ValueError, match="kink"):

@@ -122,11 +122,13 @@ def test_search_matches_brute_force_beam():
     assert best_acc == oracle.score(want_key)
 
 
-def test_search_chunking_invariant():
+def test_search_chunking_invariant(monkeypatch):
     # a chunk smaller than one expansion forces many partial flushes
     oracle = SyntheticOracle(SyntheticOracleConfig(noise_sigma=0.0))
-    small = pnas_search(perfect_config(chunk_size=97), oracle)
-    large = pnas_search(perfect_config(chunk_size=1 << 20), oracle)
+    monkeypatch.setattr("pnas.search.CHUNK_SIZE", 97)
+    small = pnas_search(perfect_config(), oracle)
+    monkeypatch.setattr("pnas.search.CHUNK_SIZE", 1 << 20)
+    large = pnas_search(perfect_config(), oracle)
     for a, b in zip(small.levels, large.levels):
         assert a.keys == b.keys
         assert a.measured == b.measured
@@ -149,8 +151,9 @@ def few_score(cells):
 @pytest.mark.parametrize("chunk_size", [1, 97, 1 << 20])
 def test_search_ties_match_brute_force_sort(monkeypatch, chunk_size):
     monkeypatch.setattr("pnas.search.make_surrogate", lambda *args: FewScores())
+    monkeypatch.setattr("pnas.search.CHUNK_SIZE", chunk_size)
     writer = ListWriter()
-    trace = pnas_search(perfect_config(chunk_size=chunk_size), SyntheticOracle(), writer)
+    trace = pnas_search(perfect_config(), SyntheticOracle(), writer)
 
     beam = sorted(one_block_cells(), key=cell_key)
     want_events = []
@@ -197,15 +200,11 @@ def test_search_degenerate_single_level():
     assert best_key in set(trace.levels[0].keys)
 
 
-def test_search_trace_shape_and_budget():
+def test_search_trace_shape_and_budget(shrink):
     writer = ListWriter()
     config = SearchConfig(b_max=3, beam_size=16, predictor="mlp", seed=1)
-    from pnas.predictors import PredictorConfig
-
-    small = PredictorConfig(
-        kind="mlp", embed_dim=12, hidden=10, epochs_first_level=20, epochs_later_levels=10
-    )
-    trace = pnas_search(config, SyntheticOracle(), writer, predictor_config=small)
+    shrink(EMBED_DIM=12, HIDDEN=10, EPOCHS_FIRST_LEVEL=20, EPOCHS_LATER_LEVELS=10)
+    trace = pnas_search(config, SyntheticOracle(), writer)
 
     assert [len(lv.keys) for lv in trace.levels] == plan_budget(3, 16)
     assert trace.m1 == sum(plan_budget(3, 16)) == len(trace.records)
@@ -234,33 +233,26 @@ def test_search_trace_shape_and_budget():
     ]
 
 
-def test_search_is_deterministic():
-    from pnas.predictors import PredictorConfig
-
-    small = PredictorConfig(
-        kind="rnn", embed_dim=8, hidden=8, epochs_first_level=5, epochs_later_levels=5
-    )
+def test_search_is_deterministic(shrink):
+    shrink(EMBED_DIM=8, HIDDEN=8, EPOCHS_FIRST_LEVEL=5, EPOCHS_LATER_LEVELS=5)
     runs = []
     for _ in range(2):
         writer = ListWriter()
         config = SearchConfig(b_max=2, beam_size=8, predictor="rnn", seed=5)
-        pnas_search(config, SyntheticOracle(), writer, predictor_config=small)
+        pnas_search(config, SyntheticOracle(), writer)
         runs.append(writer.events)
     assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("predictor", ["mlp-ens", "rnn-ens"])
-def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch, predictor):
-    from pnas.predictors import PredictorConfig
-
-    kind = predictor.removesuffix("-ens")
-    small = PredictorConfig(kind=kind, embed_dim=8, hidden=8, epochs_first_level=20, epochs_later_levels=10)
+def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch, shrink, predictor):
+    shrink(EMBED_DIM=8, HIDDEN=8, EPOCHS_FIRST_LEVEL=20, EPOCHS_LATER_LEVELS=10)
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr("pnas.predictors._free_cpus", lambda: workers)
         writer = ListWriter()
         config = SearchConfig(b_max=3, beam_size=8, predictor=predictor, seed=4)
-        pnas_search(config, SyntheticOracle(), writer, predictor_config=small)
+        pnas_search(config, SyntheticOracle(), writer)
         runs.append(writer.events)
     assert [ev["event"] for ev in runs[0]].count("fit") == 3
     assert runs[0] == runs[1]
