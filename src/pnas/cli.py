@@ -2,13 +2,17 @@
 
 Every run writes a manifest before the first evaluation, a JSON-lines
 trace, and CSV summaries; together they are sufficient to re-derive any
-number the commands print. A run holds an exclusive ``flock`` on its
-run directory while any of its processes lives, so two runs never write
-one directory at once, and a killed run's lock goes with it.
+number the commands print. ``_run_dir`` stamps every manifest with its
+format version, the package, numpy and python versions, its status and
+its start and finish times; a command adds only what its run is. A run
+holds an exclusive ``flock`` on its run directory while any of its
+processes lives, so two runs never write one directory at once, and a
+killed run's lock goes with it.
 Configuration precedence is flags over config-file entries over built-in
 defaults, and the built-in defaults are the config dataclasses' field
 defaults; the config file is plain ``key=value`` lines with ``#``
-comments, each parsed and checked as its flag would be.
+comments, each parsed and checked as its flag would be. A ``ValueError``
+raised while a command checks its settings is a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 evaluator or transport
 error, 3 internal contract violation.
@@ -38,7 +42,7 @@ from .evaluators import (
     TabularEvaluator,
 )
 from .harness import HarnessConfig, harness_seeds, predictor_harness
-from .network import STEM_KINDS, BuildError, StackPlan, build_network, export_graph
+from .network import STEM_KINDS, StackPlan, build_network, export_graph
 from .predictors import _BLAS_PINNED
 from .search import (
     PREDICTOR_KINDS,
@@ -93,6 +97,15 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _versions() -> dict:
+    return {
+        "package": __version__,
+        "numpy": np.__version__,
+        "python": ".".join(str(part) for part in sys.version_info[:3]),
+        "blas_pinned": _BLAS_PINNED,  # BLAS runs one thread, whatever the thread variables say
+    }
+
+
 def load_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
@@ -111,6 +124,15 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 @contextmanager
+def _setting_errors():
+    """Re-raise a ValueError as a ConfigError: a bad setting is the user's input, not a bug."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+@contextmanager
 def _run_dir(path: str, manifest: dict):
     """Create and lock the run directory, and keep its manifest's status current.
 
@@ -118,9 +140,10 @@ def _run_dir(path: str, manifest: dict):
     drops it when the last process holding the descriptor exits, however
     it ends, so a killed run leaves no stale lock behind; forked fit workers
     inherit the descriptor and hold the lock until they exit. The manifest
-    is written as ``running`` on entry and rewritten as ``completed``, or
-    as ``failed`` before the exception propagates. Yields a function that
-    joins names onto the directory.
+    is stamped with the format version and ``_versions()``, written as
+    ``running`` on entry and rewritten as ``completed``, or as ``failed``
+    before the exception propagates. Yields a function that joins names
+    onto the directory.
     """
     try:
         os.makedirs(path, exist_ok=True)
@@ -138,7 +161,9 @@ def _run_dir(path: str, manifest: dict):
         except OSError as exc:
             raise ConfigError(f"cannot lock run directory {path!r}: {exc}") from None
         manifest_path = os.path.join(path, "manifest.json")
-        manifest.update(started_utc=_utc_now(), finished_utc=None, status="running")
+        manifest.update(
+            format_version=1, versions=_versions(), started_utc=_utc_now(), finished_utc=None, status="running"
+        )
         write_json(manifest_path, manifest)
         try:
             yield lambda *names: os.path.join(path, *names)
@@ -157,7 +182,7 @@ EVALUATOR_BACKENDS = ("synthetic", "tabular", "external")
 
 def _make_evaluator(backend: str, sigma: float, table: str | None, worker_cmd: str | None) -> tuple[object, dict]:
     """The evaluator for a checked backend name, and its manifest entry."""
-    try:
+    with _setting_errors():  # a negative sigma, an empty worker command
         if backend == "synthetic":
             return SyntheticOracle(SyntheticOracleConfig(noise_sigma=sigma)), {"backend": backend, "sigma": sigma}
         if backend == "tabular":
@@ -171,22 +196,10 @@ def _make_evaluator(backend: str, sigma: float, table: str | None, worker_cmd: s
             raise ConfigError("the external evaluator needs --worker-cmd")
         argv = shlex.split(worker_cmd)
         return ExternalEvaluator(argv), {"backend": backend, "worker_cmd": argv}
-    except ValueError as exc:
-        # bad user input (negative sigma, empty worker command), not a bug
-        raise ConfigError(str(exc)) from None
-
-
-def _versions() -> dict:
-    return {
-        "package": __version__,
-        "numpy": np.__version__,
-        "python": ".".join(str(part) for part in sys.version_info[:3]),
-        "blas_pinned": _BLAS_PINNED,  # BLAS runs one thread, whatever the thread variables say
-    }
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
+    with _setting_errors():
         config = SearchConfig(
             b_max=args.blocks,
             beam_size=args.beam_size,
@@ -196,18 +209,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             predictor=args.predictor,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if args.count < 0:
         raise ConfigError(f"--count must be positive, got {args.count}")
+    if args.count and args.strategy != "random":
+        raise ConfigError(f"--count is for --strategy random only; --strategy {args.strategy} spends the -B/-K budget")
     budget = plan_budget(config.b_max, config.beam_size)
-    count = args.count if args.count > 0 else sum(budget)
+    m1 = args.count or sum(budget)
 
     if args.strategy == "pnas":
         print("budget_per_level " + " ".join(str(size) for size in budget))
-        m1 = sum(budget)
-    else:
-        m1 = count
     print(f"m1 {m1}")
     print(f"cost {compute_cost(m1, config.examples_per_model)}")
     if args.dry_run:
@@ -219,14 +229,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ConfigError("--predictor perfect scores with the synthetic oracle, so it needs --evaluator synthetic")
     evaluator, evaluator_entry = _make_evaluator(args.evaluator, args.sigma, args.table, args.worker_cmd)
     manifest = {
-        "format_version": 1,
         "command": "search",
         "strategy": args.strategy,
         "config": asdict(config),
-        "count": count if args.strategy == "random" else None,
+        "count": m1 if args.strategy == "random" else None,
         "evaluator": evaluator_entry,
         "seeds": search_seeds(config.seed),
-        "versions": _versions(),
         "outputs": {
             "trace": "trace.jsonl",
             "summary": "summary.csv",
@@ -239,7 +247,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             if args.strategy == "pnas":
                 trace = pnas_search(config, evaluator, writer)
             else:
-                trace = random_search(config, count, evaluator, writer)
+                trace = random_search(config, m1, evaluator, writer)
 
         write_summary_csv(path("summary.csv"), top_m_table(trace))
         write_summary_csv(
@@ -250,7 +258,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             ],
         )
         os.makedirs(path("graphs"), exist_ok=True)
-        plan = StackPlan(n=config.cell_repeats, f=config.filters)
+        plan = config.plan
         for level, key, _ in trace.best_per_level():
             graph = build_network(parse_cell_key(key), plan)
             write_json(path("graphs", f"best_b{level}.json"), export_graph(graph, cell_key=key, plan=plan))
@@ -269,7 +277,7 @@ def cmd_harness(args: argparse.Namespace) -> int:
         # a noise-free oracle makes the oracle-passthrough predictor exact
         kinds = ("perfect",)
         sigma = 0.0
-    try:
+    with _setting_errors():
         config = HarnessConfig(
             trials=args.trials,
             sample_size=args.sample_size,
@@ -278,26 +286,19 @@ def cmd_harness(args: argparse.Namespace) -> int:
             kinds=kinds,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     evaluator, evaluator_entry = _make_evaluator("synthetic", sigma, None, None)
 
     manifest = {
-        "format_version": 1,
         "command": "harness",
         "config": asdict(config),
         "evaluator": evaluator_entry,
         "seeds": harness_seeds(config),
-        "versions": _versions(),
         "outputs": {"summary": "summary.csv", "report": "report.json"},
     }
     with _run_dir(args.out, manifest) as path:
         report = predictor_harness(config, evaluator)
 
         # wide layout: one row per predictor, correlation columns by level
-        fields = ["predictor"]
-        for b in report.levels:
-            fields += [f"rho_fit_{b}", f"rho_extrapolate_{b + 1}"]
         rows = []
         for kind in report.kinds:
             row: dict = {"predictor": kind}
@@ -305,32 +306,20 @@ def cmd_harness(args: argparse.Namespace) -> int:
                 row[f"rho_fit_{b}"] = report.mean_fit(kind, b)
                 row[f"rho_extrapolate_{b + 1}"] = report.mean_extrapolate(kind, b)
             rows.append(row)
-        write_summary_csv(path("summary.csv"), rows, field_order=fields)
-        write_json(
-            path("report.json"),
-            {
-                "kinds": list(report.kinds),
-                "levels": list(report.levels),
-                "fit": {f"{kind}/{b}": list(report.fit[(kind, b)]) for kind, b in report.fit},
-                "extrapolate": {
-                    f"{kind}/{b}": list(report.extrapolate[(kind, b)]) for kind, b in report.extrapolate
-                },
-            },
-        )
+        write_summary_csv(path("summary.csv"), rows)
+        write_json(path("report.json"), asdict(report))
 
     for row in rows:
-        parts = [f"{key}={row[key]!r}" for key in fields[1:]]
-        print(f"{row['predictor']} " + " ".join(parts))
+        (_, kind), *rhos = row.items()
+        print(kind, " ".join(f"{key}={value!r}" for key, value in rhos))
     print(f"out {args.out}")
     return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    try:
+    with _setting_errors():
         size = count_space(args.blocks)
         budget = None if args.beam_size is None else plan_budget(args.blocks, args.beam_size)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     for b in range(1, args.blocks + 1):
         print(f"level {b}: raw_blocks {len(enumerate_blocks(b))} unique_blocks {len(canonical_blocks(b))}")
     print(f"space_raw {size.raw}")
@@ -343,16 +332,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     cell = parse_cell_key(args.cell)
-    try:
+    with _setting_errors():
         plan = StackPlan(
             n=args.cell_repeats, f=args.filters, input_hw=args.hw, stem=args.stem, num_classes=args.classes
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
         graph = build_network(cell, plan)
-    except BuildError as exc:
-        raise ConfigError(str(exc)) from None
     payload = export_graph(graph, cell_key=args.cell, plan=plan)
     try:
         write_json(args.out, payload)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import B_MAX, CellSpec, cell_key, one_block_cells, random_cell
+from .cells import B_MAX, CellSpec, cell_key, count_space, one_block_cells, random_cell
 from .evaluators import EvalRequest
 from .metrics import spearman
 from .predictors import fork_map
@@ -61,6 +61,9 @@ class HarnessConfig:
         for name in ("trials", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        two_block = count_space(2).unique  # every run draws a pool of two-block cells
+        if self.pool_size > two_block:
+            raise ValueError(f"pool_size must be <= {two_block} (the unique two-block cells), got {self.pool_size}")
         if self.sample_size < 2:
             raise ValueError(f"sample_size must be >= 2 (a rank correlation needs two points), got {self.sample_size}")
         if not 2 <= self.b_max <= B_MAX:
@@ -74,34 +77,35 @@ class HarnessConfig:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Per-trial and mean Spearman coefficients, keyed by (kind, level)."""
+    """Per-trial Spearman coefficients, keyed by ``"kind/level"`` as in ``report.json``, and their means.
+
+    ``fit["mlp/2"]`` holds the trials of the mlp fitted at level 2, scored
+    on its sample; ``extrapolate["mlp/2"]`` the same fits scored on the
+    level-3 pool.
+    """
 
     kinds: tuple[str, ...]
     levels: tuple[int, ...]
-    fit: dict[tuple[str, int], tuple[float, ...]]
-    extrapolate: dict[tuple[str, int], tuple[float, ...]]
+    fit: dict[str, tuple[float, ...]]
+    extrapolate: dict[str, tuple[float, ...]]
 
     def mean_fit(self, kind: str, level: int) -> float:
-        return float(np.mean(self.fit[(kind, level)]))
+        return float(np.mean(self.fit[f"{kind}/{level}"]))
 
     def mean_extrapolate(self, kind: str, level: int) -> float:
         """Mean extrapolation coefficient at level + 1, for the fit at `level`."""
-        return float(np.mean(self.extrapolate[(kind, level)]))
+        return float(np.mean(self.extrapolate[f"{kind}/{level}"]))
 
 
 def distinct_random_cells(count: int, b: int, seed: int) -> list[CellSpec]:
     """Uniform draws rejected on repeated keys until `count` distinct cells."""
+    unique = count_space(b).unique
+    if count > unique:
+        raise ValueError(f"could not draw {count} distinct cells with {b} blocks; the level holds {unique}")
     rng = np.random.default_rng(seed)
     cells: list[CellSpec] = []
     seen: set[str] = set()
-    attempts = 0
     while len(cells) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise ValueError(
-                f"could not draw {count} distinct cells with {b} blocks; the level"
-                " may not contain that many unique cells"
-            )
         cell = random_cell(b, rng)
         key = cell_key(cell)
         if key not in seen:
@@ -150,8 +154,8 @@ def predictor_harness(config: HarnessConfig, evaluator) -> CorrelationReport:
         return idx, surrogate.predict(sample), surrogate.predict(pools[b + 1])
 
     results = iter(fork_map(fit_job, jobs, label="a harness worker"))
-    fit: dict[tuple[str, int], tuple[float, ...]] = {}
-    extrapolate: dict[tuple[str, int], tuple[float, ...]] = {}
+    fit: dict[str, tuple[float, ...]] = {}
+    extrapolate: dict[str, tuple[float, ...]] = {}
     for kind in config.kinds:
         for b in levels:
             fit_trials: list[float] = []
@@ -160,6 +164,6 @@ def predictor_harness(config: HarnessConfig, evaluator) -> CorrelationReport:
                 idx, on_sample, on_pool = next(results)
                 fit_trials.append(spearman(on_sample, measured[b][idx]))
                 ext_trials.append(spearman(on_pool, measured[b + 1]))
-            fit[(kind, b)] = tuple(fit_trials)
-            extrapolate[(kind, b)] = tuple(ext_trials)
+            fit[f"{kind}/{b}"] = tuple(fit_trials)
+            extrapolate[f"{kind}/{b}"] = tuple(ext_trials)
     return CorrelationReport(kinds=config.kinds, levels=levels, fit=fit, extrapolate=extrapolate)

@@ -94,6 +94,11 @@ class SearchConfig:
     def examples_per_model(self) -> int:
         return self.epochs * EXAMPLES_PER_EPOCH
 
+    @property
+    def plan(self) -> StackPlan:
+        """The stack every evaluated cell is built into."""
+        return StackPlan(n=self.cell_repeats, f=self.filters)
+
 
 @dataclass(frozen=True)
 class LevelResult:
@@ -220,8 +225,10 @@ def _emit(writer, **event) -> None:
         writer.emit(event)
 
 
-def _evaluate(evaluator, cells, level, epochs, plan, eval_seed, writer) -> list[EvalRecord]:
-    request = EvalRequest(cells=tuple(cells), epochs=epochs, plan=plan, seed=eval_seed)
+def _evaluate(evaluator, cells, level, config: SearchConfig, writer) -> list[EvalRecord]:
+    request = EvalRequest(
+        cells=tuple(cells), epochs=config.epochs, plan=config.plan, seed=search_seeds(config.seed)["eval"]
+    )
     records = evaluator.evaluate(request)
     for rec in records:
         event = {"event": "eval", "level": level, "cell_key": rec.cell_key, "value": rec.accuracy, "seed": rec.seed}
@@ -302,9 +309,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
     writer before the failure is already flushed, so the partial trace
     survives on disk.
     """
-    plan = StackPlan(n=config.cell_repeats, f=config.filters)
-    seeds = search_seeds(config.seed)
-    eval_seed, predictor_seed = seeds["eval"], seeds["predictor"]
+    predictor_seed = search_seeds(config.seed)["predictor"]
     surrogate = make_surrogate(config.predictor, predictor_seed, evaluator)
 
     beam = sorted(one_block_cells(), key=cell_key)
@@ -336,7 +341,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
                 _emit(writer, event="select", level=b, cell_key=key, value=rank, seed=config.seed)
             beam = sorted((cell for _, _, cell in best), key=cell_key)
 
-        records = _evaluate(evaluator, beam, b, config.epochs, plan, eval_seed, writer)
+        records = _evaluate(evaluator, beam, b, config, writer)
         # failed evaluations keep their budget slot but never train the surrogate
         all_records.extend(records)
         for cell, rec in zip(beam, records):
@@ -362,10 +367,8 @@ def random_search(config: SearchConfig, count: int, evaluator, writer=None) -> S
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    plan = StackPlan(n=config.cell_repeats, f=config.filters)
-    seeds = search_seeds(config.seed)
-    rng = np.random.default_rng(seeds["random_search"])
+    rng = np.random.default_rng(search_seeds(config.seed)["random_search"])
     cells = [random_cell(config.b_max, rng) for _ in range(count)]
-    records = _evaluate(evaluator, cells, config.b_max, config.epochs, plan, seeds["eval"], writer)
+    records = _evaluate(evaluator, cells, config.b_max, config, writer)
     _check_some_succeeded(records, config.b_max)
     return SearchTrace(levels=(_level_result(config.b_max, records, None),), records=tuple(records))

@@ -58,18 +58,19 @@ def read_trace(path: str) -> list[dict]:
     return events
 
 
-def write_summary_csv(path: str, rows: Sequence[dict], field_order: Sequence[str] | None = None) -> None:
-    """Dict rows to CSV; column order is the first row's key order unless given."""
+def write_summary_csv(path: str, rows: Sequence[dict]) -> None:
+    """Dict rows to CSV; the columns are the rows' keys in the order they first appear.
+
+    Rows may grow columns (top-M points appear once M models exist); a row
+    without a column leaves its cell empty.
+    """
     if not rows:
         raise ValueError("summary needs at least one row")
-    if field_order is not None:
-        fields = list(field_order)
-    else:
-        fields = []  # rows may grow columns (top-M points appear once M models exist)
-        for row in rows:
-            fields.extend(key for key in row if key not in fields)
+    fields: list[str] = []
+    for row in rows:
+        fields.extend(key for key in row if key not in fields)
     with replacing(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({key: _plain(row.get(key)) for key in fields})

@@ -81,6 +81,11 @@ def test_build_bad_plan_is_config_error(tmp_path, capsys):
     assert code == 1
     assert "spatial size underflow" in err
 
+    code, out, err = run(capsys, "build", "--cell", "1|0,4,1,4", "-N", "0", "--out", str(tmp_path / "g.json"))
+    assert code == 1
+    assert "cell repeat count N must be >= 1, got 0" in err
+    assert out == "" and not (tmp_path / "g.json").exists()
+
 
 def test_build_out_is_directory_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "build", "--cell", "1|0,4,1,4", "--out", str(tmp_path))
@@ -218,6 +223,21 @@ def test_search_negative_count(tmp_path, capsys):
     )
     assert code == 1
     assert "--count must be positive" in err
+
+    out_dir = tmp_path / "k0"
+    code, out, err = run(capsys, "search", "-B", "2", "-K", "0", "--out", str(out_dir))
+    assert code == 1
+    assert "beam_size must be >= 1, got 0" in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_search_count_needs_random_strategy(tmp_path, capsys):
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "x")]):
+        code, out, err = run(capsys, "search", "-B", "2", "-K", "4", "--count", "5", *extra)
+        assert code == 1
+        assert "--count is for --strategy random only" in err
+        assert out == ""  # checked before the budget is printed
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -649,6 +669,20 @@ def test_harness_needs_two_samples_before_any_fit(tmp_path, capsys, monkeypatch)
     )
     assert code == 1
     assert "sample_size must be >= 2 (a rank correlation needs two points), got 1" in err
+    assert not out_dir.exists()
+
+
+def test_harness_pool_beyond_the_two_block_space_exits_before_any_draw(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a pool")
+
+    monkeypatch.setattr("pnas.harness.distinct_random_cells", no_draw)
+    out_dir = tmp_path / "x"
+    code, _, err = run(
+        capsys, "harness", "--predictors", "mlp", "-T", "1", "-K", "2", "-R", "40801", "-B", "2", "--out", str(out_dir)
+    )
+    assert code == 1
+    assert "pool_size must be <= 40800 (the unique two-block cells), got 40801" in err
     assert not out_dir.exists()
 
 

@@ -36,6 +36,10 @@ def test_config_validation():
         HarnessConfig(sample_size=100, pool_size=50)
     with pytest.raises(ValueError, match="sample_size must be >= 2"):
         HarnessConfig(sample_size=1)
+    # pools are drawn at every level from 2 up, and level 2 holds 40,800 unique cells
+    with pytest.raises(ValueError, match="pool_size must be <= 40800 \\(the unique two-block cells\\), got 40801"):
+        HarnessConfig(pool_size=40801, b_max=2)
+    assert HarnessConfig(pool_size=40800, b_max=2).pool_size == 40800
     with pytest.raises(ValueError, match="b_max"):
         HarnessConfig(b_max=1)
     with pytest.raises(ValueError, match="unknown predictor kind"):
@@ -63,8 +67,8 @@ def test_harness_report_shape(tiny):
     assert report.kinds == ("mlp",)
     assert report.levels == (1, 2)
     for level in report.levels:
-        assert len(report.fit[("mlp", level)]) == 2
-        assert len(report.extrapolate[("mlp", level)]) == 2
+        assert len(report.fit[f"mlp/{level}"]) == 2
+        assert len(report.extrapolate[f"mlp/{level}"]) == 2
 
 
 def test_harness_coefficients_in_range_and_informative(tiny):
@@ -87,16 +91,16 @@ def test_perfect_kind_scores_exactly_one():
     config = tiny_config(kinds=("perfect",), trials=2)
     report = predictor_harness(config, oracle)
     for level in report.levels:
-        assert report.fit[("perfect", level)] == (1.0, 1.0)
-        assert report.extrapolate[("perfect", level)] == (1.0, 1.0)
+        assert report.fit[f"perfect/{level}"] == (1.0, 1.0)
+        assert report.extrapolate[f"perfect/{level}"] == (1.0, 1.0)
 
 
 def test_report_mean_helpers():
     report = CorrelationReport(
         kinds=("mlp",),
         levels=(1,),
-        fit={("mlp", 1): (0.2, 0.4)},
-        extrapolate={("mlp", 1): (0.1, 0.5)},
+        fit={"mlp/1": (0.2, 0.4)},
+        extrapolate={"mlp/1": (0.1, 0.5)},
     )
     assert report.mean_fit("mlp", 1) == pytest.approx(0.3)
     assert report.mean_extrapolate("mlp", 1) == pytest.approx(0.3)

@@ -71,12 +71,6 @@ def test_summary_csv_unions_late_columns(tmp_path):
     assert path.read_text() == "models,top1,top2\n1,0.5,\n2,0.6,0.55\n"
 
 
-def test_summary_csv_explicit_field_order(tmp_path):
-    path = tmp_path / "summary.csv"
-    write_summary_csv(str(path), [{"a": 1, "b": 2}], field_order=["b", "a"])
-    assert path.read_text() == "b,a\n2,1\n"
-
-
 def test_summary_csv_floats_round_trip(tmp_path):
     path = tmp_path / "summary.csv"
     value = 0.1 + 0.2  # 0.30000000000000004
