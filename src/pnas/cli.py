@@ -271,12 +271,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_harness(args: argparse.Namespace) -> int:
-    kinds = tuple(part.strip() for part in args.predictors.split(",") if part.strip())
-    sigma = args.sigma
-    if args.perfect:
-        # a noise-free oracle makes the oracle-passthrough predictor exact
-        kinds = ("perfect",)
-        sigma = 0.0
+    if args.perfect and (args.predictors != ",".join(HarnessConfig.kinds) or args.sigma != SyntheticOracleConfig.noise_sigma):
+        raise ConfigError("--perfect runs the perfect predictor on the noise-free oracle; it takes neither --predictors nor --sigma")
+    # a noise-free oracle makes the oracle-passthrough predictor exact
+    kinds = ("perfect",) if args.perfect else tuple(part.strip() for part in args.predictors.split(",") if part.strip())
+    sigma = 0.0 if args.perfect else args.sigma
     with _setting_errors():
         config = HarnessConfig(
             trials=args.trials,
@@ -386,7 +385,7 @@ def build_parser() -> _Parser:
     harness.set_defaults(func=cmd_harness)
 
     count = sub.add_parser("count", help="search-space sizes")
-    count.add_argument("-B", "--blocks", type=int, default=5)
+    count.add_argument("-B", "--blocks", type=int, default=SearchConfig.b_max)
     count.add_argument("-K", "--beam-size", dest="beam_size", type=int, default=None, help="also print the budget plan")
     count.set_defaults(func=cmd_count)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import CellSpec, Operator, cell_key, is_canonical, parse_cell_key, validate_cell
+from .cells import CellSpec, Operator, canonicalize, cell_key, is_canonical, parse_cell_key
 from .network import StackPlan
 from .seeding import derive_seed
 from .traceio import replacing
@@ -67,22 +67,29 @@ class WorkerProtocolError(EvaluatorError):
 
 @dataclass(frozen=True)
 class EvalRequest:
-    """A batch of canonical cells to score under one training recipe."""
+    """A batch of canonical cells to score under one training recipe.
+
+    ``keys`` holds each cell's key, in cell order; every backend answers
+    under these keys.
+    """
 
     cells: tuple[CellSpec, ...]
     epochs: int = 20
     plan: StackPlan = field(default_factory=StackPlan)
     seed: int = 0
+    keys: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("evaluation request needs at least one cell")
         if self.epochs < 1:
             raise ValueError(f"proxy epochs must be >= 1, got {self.epochs}")
+        keys = []
         for cell in self.cells:
-            validate_cell(cell)
+            keys.append(cell_key(cell))  # checks the cell
             if not is_canonical(cell):
-                raise ValueError(f"evaluation requires canonical cells, got {cell_key(cell)}")
+                raise ValueError(f"evaluation requires canonical cells, got {keys[-1]}")
+        object.__setattr__(self, "keys", tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -173,8 +180,7 @@ class SyntheticOracle:
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
         seed = request.seed
-        keys = [cell_key(cell) for cell in request.cells]
-        return [EvalRecord(key, self.noisy_accuracy(cell, seed, key), seed) for cell, key in zip(request.cells, keys)]
+        return [EvalRecord(key, self.noisy_accuracy(cell, seed, key), seed) for cell, key in zip(request.cells, request.keys)]
 
 
 TABLE_HEADER = ("cell_key", "seed", "accuracy")
@@ -182,6 +188,9 @@ TABLE_HEADER = ("cell_key", "seed", "accuracy")
 
 class TabularEvaluator:
     """Accuracy lookup from a CSV benchmark table (``cell_key,seed,accuracy``).
+
+    Requests look rows up by canonical key, so a row whose key is not
+    spelled as ``cell_key`` spells its canonical cell is a parse error.
 
     A request's accuracy for a cell with S stored rows is the row at index
     ``request.seed % S`` (rows kept in file order), so replaying a run
@@ -214,26 +223,27 @@ class TabularEvaluator:
                     raise TableParseError(f"{path}:{lineno}: expected 3 columns")
                 key = ",".join(fields[:-2])
                 try:
-                    parse_cell_key(key)
+                    canonical = cell_key(canonicalize(parse_cell_key(key)))
                     seed = int(fields[-2])
                     acc = float(fields[-1])
                 except ValueError as exc:
                     raise TableParseError(f"{path}:{lineno}: {exc}") from None
+                if key != canonical:
+                    raise TableParseError(f"{path}:{lineno}: cell key {key!r} is not canonical; write it as {canonical!r}")
                 if not 0.0 <= acc <= 1.0:
                     raise TableParseError(f"{path}:{lineno}: accuracy {acc} outside [0, 1]")
                 rows.setdefault(key, []).append((seed, acc))
         return cls(rows)
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        keys = [cell_key(cell) for cell in request.cells]
-        missing = [k for k in dict.fromkeys(keys) if k not in self.rows]
+        missing = [k for k in dict.fromkeys(request.keys) if k not in self.rows]
         if missing:
             raise TableLookupError(
                 f"benchmark table has no entry for cell {missing[0]!r}"
                 + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
             )
         seed = request.seed
-        return [EvalRecord(key, self.rows[key][seed % len(self.rows[key])][1], seed) for key in keys]
+        return [EvalRecord(key, self.rows[key][seed % len(self.rows[key])][1], seed) for key in request.keys]
 
 
 def write_table(path: str, records: list[EvalRecord]) -> int:
@@ -265,8 +275,7 @@ class ExternalEvaluator:
         self.worker_cmd = list(worker_cmd)
 
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
-        keys = [cell_key(cell) for cell in request.cells]
-        pending: dict[int, str] = dict(enumerate(keys))
+        pending: dict[int, str] = dict(enumerate(request.keys))
         answers: dict[int, EvalRecord] = {}
         attempts = 0
         while pending:
@@ -275,10 +284,10 @@ class ExternalEvaluator:
                 attempts += 1
                 if attempts > WORKER_RETRIES:
                     raise WorkerTransportError(
-                        f"worker {self.worker_cmd[0]!r} left {len(pending)} of {len(keys)} "
+                        f"worker {self.worker_cmd[0]!r} left {len(pending)} of {len(request.keys)} "
                         f"requests unanswered after {WORKER_RETRIES} retries"
                     )
-        return [answers[i] for i in range(len(keys))]
+        return [answers[i] for i in range(len(request.keys))]
 
     def _run_batch(self, request: EvalRequest, pending: dict[int, str], answers: dict[int, EvalRecord]) -> None:
         lines = [

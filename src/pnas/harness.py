@@ -17,9 +17,10 @@ through ``predictors.fork_map`` in forked worker processes, which read
 the pools and measured accuracies from the parent's pages and send back
 the sample indices and the two prediction vectors. An ensemble's members
 then fit inside the job's worker, since forks never nest. Every
-``spearman`` call runs in the parent, in kind, level and trial order. A
-job depends only on its seeds and the pools, so the report is
-bit-identical whatever the worker count.
+``spearman`` call runs in the parent, in job order (kind, level, trial),
+and each coefficient is filed under its own job's kind and level. A job
+depends only on its seeds and the pools, so the report is bit-identical
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class HarnessConfig:
         for kind in self.kinds:
             if kind not in PREDICTOR_KINDS:
                 raise ValueError(f"unknown predictor kind {kind!r}")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError("predictor kinds must be distinct")
 
 
 @dataclass(frozen=True)
@@ -153,17 +156,10 @@ def predictor_harness(config: HarnessConfig, evaluator) -> CorrelationReport:
         surrogate.update(sample, measured[b][idx], b)
         return idx, surrogate.predict(sample), surrogate.predict(pools[b + 1])
 
-    results = iter(fork_map(fit_job, jobs, label="a harness worker"))
     fit: dict[str, tuple[float, ...]] = {}
     extrapolate: dict[str, tuple[float, ...]] = {}
-    for kind in config.kinds:
-        for b in levels:
-            fit_trials: list[float] = []
-            ext_trials: list[float] = []
-            for _ in range(config.trials):
-                idx, on_sample, on_pool = next(results)
-                fit_trials.append(spearman(on_sample, measured[b][idx]))
-                ext_trials.append(spearman(on_pool, measured[b + 1]))
-            fit[f"{kind}/{b}"] = tuple(fit_trials)
-            extrapolate[f"{kind}/{b}"] = tuple(ext_trials)
+    for (kind, b, _), (idx, on_sample, on_pool) in zip(jobs, fork_map(fit_job, jobs, label="a harness worker")):
+        name = f"{kind}/{b}"
+        fit[name] = fit.get(name, ()) + (spearman(on_sample, measured[b][idx]),)
+        extrapolate[name] = extrapolate.get(name, ()) + (spearman(on_pool, measured[b + 1]),)
     return CorrelationReport(kinds=config.kinds, levels=levels, fit=fit, extrapolate=extrapolate)

@@ -41,7 +41,6 @@ from .cells import CellSpec, OPERATOR_NAMES, Operator, is_canonical, validate_ce
 STEM_KINDS = ("none", "conv3x3_stride2")
 INPUT_CHANNELS = 3  # RGB images
 _CONV_OPS = {Operator.SEP3X3, Operator.SEP5X5, Operator.SEP7X7, Operator.CONV1X7_7X1, Operator.DILATED3X3}
-_POOL_OPS = {Operator.AVGPOOL3X3, Operator.MAXPOOL3X3}
 
 
 class BuildError(ValueError):
@@ -123,15 +122,9 @@ def _halve(hw: int) -> int:
 def _emit_op(bld: _Builder, op_id: int, src: int, f_out: int, stride: int, target_hw: int) -> int:
     """One operator application plus, if needed, a trailing 1x1 projection."""
     h, _w, c_in = bld.shape(src)
-    name = OPERATOR_NAMES[op_id]
-    if op_id in _CONV_OPS:
-        out_hw = _halve(h) if stride == 2 else h
-        node = bld.add(name, (src,), (out_hw, out_hw, f_out))
-    elif op_id in _POOL_OPS:
-        out_hw = _halve(h) if stride == 2 else h
-        node = bld.add(name, (src,), (out_hw, out_hw, c_in))
-    else:  # identity cannot change resolution or channels
-        node = bld.add(name, (src,), (h, h, c_in))
+    # every operator but identity applies the stride; only convolutions set the channel count
+    out_hw = _halve(h) if stride == 2 and op_id != Operator.IDENTITY else h
+    node = bld.add(OPERATOR_NAMES[op_id], (src,), (out_hw, out_hw, f_out if op_id in _CONV_OPS else c_in))
     node_hw = bld.shape(node)[0]
     if bld.shape(node) != (target_hw, target_hw, f_out):
         if node_hw not in (target_hw, 2 * target_hw):

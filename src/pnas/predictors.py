@@ -85,8 +85,8 @@ only vectors of length n. The LSTM's workspace holds one set of flat
 step-state and backward buffers, sized for the batch's largest length
 group; each group runs in views of their leading elements, so a
 mixed-length batch holds the largest group's states, not their sum.
-``fit`` hands that workspace to ``loss_and_grads``; called without one,
-it allocates a fresh one.
+Only ``fit`` encodes a training batch and allocates its workspace, and it
+hands both to ``loss_and_grads``.
 
 Importing this module pins numpy's BLAS to one thread for the whole
 process (``_pin_blas``), so every fit and score runs the same kernels
@@ -340,10 +340,6 @@ class Predictor:
             start += size
         return views
 
-    def _buffers(self, batch) -> dict[str, np.ndarray]:
-        """Temporaries a training pass over an encoded batch writes into; none by default."""
-        return {}
-
     def _workspace(self, batch) -> SimpleNamespace:
         """What a training pass over an encoded batch writes: the gradient vector, its named views, the temporaries."""
         grad = np.zeros_like(self.flat)
@@ -376,21 +372,21 @@ class Predictor:
         batch, inverse = self.distinct(cells)
         return self._scores(batch)[inverse]
 
-    def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
-        """L1 loss and its gradients, written into `work` (a `_workspace`), or a fresh one when None."""
+    def loss_and_grads(self, batch, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
+        """L1 loss over an encoded batch and its gradients, written into `work` (the batch's `_workspace`)."""
         raise NotImplementedError
 
     def fit(self, cells, accuracies, level: int) -> np.ndarray:
         """Full-batch Adam on L1 loss; returns the per-epoch loss history.
 
-        `cells` may already be encoded (`encode`); it is encoded once, not per
-        epoch. The gradient vector, Adam's state and the kind's temporaries
-        are allocated once here, and every epoch writes into them.
+        `cells` is encoded once, not per epoch. The gradient vector, Adam's
+        state and the kind's temporaries are allocated once here, and every
+        epoch writes into them.
         """
         targets = np.asarray(accuracies, dtype=float)
         if len(cells) == 0 or targets.shape != (len(cells),):
             raise ValueError(f"need one accuracy per cell, got {len(cells)} cells, {targets.shape} targets")
-        if np.any(targets < 0.0) or np.any(targets > 1.0):
+        if not np.all((targets >= 0.0) & (targets <= 1.0)):  # NaN fails both
             raise ValueError("accuracies must lie in [0, 1]")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
@@ -429,10 +425,8 @@ class MLPPredictor(Predictor):
 
         Each (cell, slot, id) occurrence is counted with one np.bincount,
         and count k of a b-block cell becomes k copies of 1/b summed left
-        to right. An already encoded batch is returned unchanged.
+        to right.
         """
-        if isinstance(cells, SlotCounts):
-            return cells
         lengths, counts = _slot_counts(cells)
         return SlotCounts(_FRACTIONS[lengths[:, None], counts])
 
@@ -505,10 +499,8 @@ class MLPPredictor(Predictor):
             probs[start : start + SCORE_ROWS] = self._forward(SlotCounts(batch.matrix[start : start + SCORE_ROWS]))[0]
         return probs
 
-    def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_and_grads(self, counts: SlotCounts, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``."""
-        counts = self.encode(cells)
-        work = work or self._workspace(counts)
         probs, hidden = self._forward(counts, work)
         residual = probs - targets
         loss = float(np.mean(np.abs(residual)))
@@ -555,12 +547,7 @@ class RNNPredictor(Predictor):
 
     @staticmethod
     def encode(cells) -> TokenBatch:
-        """Token ids of a batch, grouped by length: cells of any mix of lengths, or an (n, b, 4) id array.
-
-        An already encoded batch is returned unchanged.
-        """
-        if isinstance(cells, TokenBatch):
-            return cells
+        """Token ids of a batch, grouped by length: cells of any mix of lengths, or an (n, b, 4) id array."""
         lengths, blocks = _cell_blocks(cells)
         first = np.cumsum(lengths) - lengths
         groups = []
@@ -686,7 +673,7 @@ class RNNPredictor(Predictor):
             out[rows] = self._output(h_last)
         return out
 
-    def loss_and_grads(self, cells, targets: np.ndarray, work=None) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_and_grads(self, batch: TokenBatch, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; only dh = da @ W_h^T runs inside the backward time loop.
 
         Each step's gate gradient da replaces its gates. After the loop, W_h
@@ -694,13 +681,11 @@ class RNNPredictor(Predictor):
         stacked vocabulary collects dP = onehot(rows)^T @ da, which gives
         W_x's gradient as E^T @ dP and the embeddings' as dP @ W_x^T.
         """
-        batch = self.encode(cells)
         n = len(batch)
         p = self.params
         d, hd = EMBED_DIM, HIDDEN
         projections = self._projections()
         proj, wh = projections
-        work = work or self._workspace(batch)
         work.grad.fill(0.0)
         grads = work.grads
         d_proj = work.d_proj
@@ -936,7 +921,8 @@ def gradient_check(model: Predictor, cell: CellSpec, target: float, step: float 
             f"prediction {prob:.6f} is within {100.0 * step} of the label; "
             "finite differences would straddle the L1 kink"
         )
-    _, grads = model.loss_and_grads([cell], targets)
+    batch = model.encode([cell])
+    _, grads = model.loss_and_grads(batch, targets, model._workspace(batch))
 
     def loss_at() -> float:
         return float(np.abs(model.predict([cell])[0] - target))

@@ -75,9 +75,9 @@ class NoSuccessfulEvaluationError(EvaluatorError):
 class SearchConfig:
     b_max: int = 5
     beam_size: int = 256
-    epochs: int = 20
-    filters: int = 24
-    cell_repeats: int = 2
+    epochs: int = EvalRequest.epochs
+    filters: int = StackPlan.f
+    cell_repeats: int = StackPlan.n
     predictor: str = "mlp-ens"
     seed: int = 0
 
@@ -102,16 +102,25 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class LevelResult:
-    """Evaluated candidate set of one level, in evaluation order.
+    """One level's evaluation records, in evaluation order, and the surrogate's predictions for them.
 
     A progressive level is ordered by cell key; a random-search level keeps
-    sample order.
+    sample order. ``predicted[i]`` is the score that selected the cell of
+    ``records[i]``; level 1 and random search select nothing, and hold None.
+    ``keys`` and ``measured`` read the records.
     """
 
     level: int
-    keys: tuple[str, ...]
+    records: tuple[EvalRecord, ...]
     predicted: tuple[float, ...] | None
-    measured: tuple[float | None, ...]
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(rec.cell_key for rec in self.records)
+
+    @property
+    def measured(self) -> tuple[float | None, ...]:
+        return tuple(rec.accuracy for rec in self.records)
 
     def best(self) -> tuple[str, float]:
         """Highest measured accuracy, ties to the smallest key."""
@@ -124,8 +133,13 @@ class LevelResult:
 
 @dataclass(frozen=True)
 class SearchTrace:
+    """The levels of a finished search; its records are theirs, joined in evaluation order."""
+
     levels: tuple[LevelResult, ...]
-    records: tuple[EvalRecord, ...]
+
+    @property
+    def records(self) -> tuple[EvalRecord, ...]:
+        return tuple(rec for level in self.levels for rec in level.records)
 
     @property
     def m1(self) -> int:
@@ -282,16 +296,6 @@ def top_children(scores: np.ndarray, beam: list[CellSpec], blocks, k: int) -> li
     return ranked[:k]
 
 
-def _level_result(level: int, records: list[EvalRecord], predicted: dict[str, float] | None) -> LevelResult:
-    keys = tuple(rec.cell_key for rec in records)
-    return LevelResult(
-        level=level,
-        keys=keys,
-        predicted=None if predicted is None else tuple(predicted[k] for k in keys),
-        measured=tuple(rec.accuracy for rec in records),
-    )
-
-
 def search_seeds(seed: int) -> dict[str, int]:
     """The named seeds a search derives from its master seed; the manifest records the same dict."""
     return {
@@ -315,7 +319,6 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
     beam = sorted(one_block_cells(), key=cell_key)
     train_cells: list[CellSpec] = []
     train_accs: list[float] = []
-    all_records: list[EvalRecord] = []
     levels: list[LevelResult] = []
 
     for b in range(1, config.b_max + 1):
@@ -333,17 +336,16 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
 
             scores = score_children(surrogate, np.asarray(beam), np.asarray(blocks), CHUNK_SIZE)
             best = top_children(scores, beam, blocks, config.beam_size)
-
-            predicted = {key: -neg for neg, key, _ in best}
-            for key in sorted(predicted):
-                _emit(writer, event="predict", level=b, cell_key=key, value=predicted[key], seed=config.seed)
+            chosen = sorted(best, key=lambda entry: entry[1])  # by cell key, the order the level is evaluated in
+            for neg, key, _ in chosen:
+                _emit(writer, event="predict", level=b, cell_key=key, value=-neg, seed=config.seed)
             for rank, (_, key, _) in enumerate(best, start=1):
                 _emit(writer, event="select", level=b, cell_key=key, value=rank, seed=config.seed)
-            beam = sorted((cell for _, _, cell in best), key=cell_key)
+            beam = [cell for _, _, cell in chosen]
+            predicted = tuple(-neg for neg, _, _ in chosen)
 
         records = _evaluate(evaluator, beam, b, config, writer)
         # failed evaluations keep their budget slot but never train the surrogate
-        all_records.extend(records)
         for cell, rec in zip(beam, records):
             if rec.ok:
                 train_cells.append(cell)
@@ -351,9 +353,9 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
         _check_some_succeeded(records, b)
         snapshot = surrogate.update(train_cells, np.asarray(train_accs), b)
         _emit(writer, event="fit", level=b, cell_key=None, value=snapshot, seed=predictor_seed)
-        levels.append(_level_result(b, records, predicted))
+        levels.append(LevelResult(b, tuple(records), predicted))
 
-    return SearchTrace(levels=tuple(levels), records=tuple(all_records))
+    return SearchTrace(levels=tuple(levels))
 
 
 def random_search(config: SearchConfig, count: int, evaluator, writer=None) -> SearchTrace:
@@ -371,4 +373,4 @@ def random_search(config: SearchConfig, count: int, evaluator, writer=None) -> S
     cells = [random_cell(config.b_max, rng) for _ in range(count)]
     records = _evaluate(evaluator, cells, config.b_max, config, writer)
     _check_some_succeeded(records, config.b_max)
-    return SearchTrace(levels=(_level_result(config.b_max, records, None),), records=tuple(records))
+    return SearchTrace(levels=(LevelResult(config.b_max, tuple(records), None),))

@@ -549,6 +549,12 @@ def test_tabular_backend_config_errors(tmp_path, capsys):
     )
     assert code == 1 and "missing cell_key,seed,accuracy header" in err
 
+    # a row keyed off the canonical spelling could never be looked up, so the run never starts
+    bad.write_text("cell_key,seed,accuracy\n1|1,0,0,0,0,0.5\n")
+    code, _, err = run(capsys, "search", "-B", "1", "--evaluator", "tabular", "--table", str(bad), "--out", str(tmp_path / "d"))
+    assert code == 1 and "cell key '1|1,0,0,0' is not canonical; write it as '1|0,0,1,0'" in err
+    assert not (tmp_path / "d").exists()
+
 
 def test_external_backend_crash_exits_2(tmp_path, capsys):
     crasher = f"{sys.executable} -c \"import sys; sys.exit(1)\""
@@ -648,6 +654,25 @@ def test_harness_perfect_mode(tmp_path, capsys):
     assert report["extrapolate"]["perfect/1"] == [1.0, 1.0]
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["evaluator"] == {"backend": "synthetic", "sigma": 0.0}
+
+
+def test_harness_perfect_takes_no_predictors_or_sigma(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    for extra in (["--predictors", "mlp,rnn"], ["--sigma", "0.05"], ["--predictors", "perfect", "--sigma", "0"]):
+        code, out, err = run(
+            capsys, "harness", "--perfect", *extra, "-T", "1", "-K", "8", "-R", "15", "-B", "2", "--out", str(out_dir)
+        )
+        assert code == 1 and "--perfect" in err and "neither --predictors nor --sigma" in err
+        assert out == "" and not out_dir.exists()
+
+
+def test_harness_rejects_a_repeated_kind(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code, out, err = run(
+        capsys, "harness", "--predictors", "mlp,mlp", "-T", "1", "-K", "8", "-R", "20", "-B", "2", "--out", str(out_dir)
+    )
+    assert code == 1 and "predictor kinds must be distinct" in err
+    assert out == "" and not out_dir.exists()
 
 
 def test_harness_sample_exceeds_pool(tmp_path, capsys):

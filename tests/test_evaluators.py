@@ -45,6 +45,9 @@ def test_request_validation():
         make_request(epochs=0)
     with pytest.raises(ValueError, match="canonical"):
         make_request(cells=(parse_cell_key("1|1,4,0,4"),))
+    assert make_request().keys == tuple(cell_key(c) for c in CELLS)
+    with pytest.raises(TypeError):
+        make_request(keys=("1|0,0,0,0",) * 3)  # keys are built, never passed
 
 
 def test_record_validation():
@@ -172,6 +175,9 @@ def test_write_table_dedups_and_sorts(tmp_path):
         ("cell_key,seed,accuracy\n1|0,4,1,4,0\n", "needs 4 comma-separated fields"),
         ("cell_key,seed,accuracy\n1|0,4,1,4,0,high\n", ":2:"),
         ("cell_key,seed,accuracy\n1|0,4,1,4,0,1.5\n", "outside [0, 1]"),
+        # requests look rows up by canonical key, so a row no request can reach is an error
+        ("cell_key,seed,accuracy\n1|1,0,0,0,0,0.5\n", ":2: cell key '1|1,0,0,0' is not canonical; write it as '1|0,0,1,0'"),
+        ("cell_key,seed,accuracy\n1|0,0, 1,0,0,0.5\n", ":2: cell key '1|0,0, 1,0' is not canonical; write it as '1|0,0,1,0'"),
         ("", "empty"),
     ],
 )

@@ -46,6 +46,8 @@ def test_config_validation():
         HarnessConfig(kinds=("mlp", "svm"))
     with pytest.raises(ValueError, match="at least one predictor"):
         HarnessConfig(kinds=())
+    with pytest.raises(ValueError, match="predictor kinds must be distinct"):
+        HarnessConfig(kinds=("mlp", "rnn", "mlp"))
     assert "perfect" not in TRAINED_KINDS
     assert set(TRAINED_KINDS) == {"mlp", "rnn", "mlp-ens", "rnn-ens"}
 

@@ -78,7 +78,6 @@ def test_slot_counts_match_add_at_on_id_array():
         encoded = MLPPredictor.encode(array)
         assert len(encoded) == 40
         assert np.array_equal(encoded.matrix, np.hstack(reference_slot_counts(array)))
-        assert MLPPredictor.encode(encoded) is encoded
 
 
 def test_slot_counts_reject_ids_outside_the_vocabulary():
@@ -357,9 +356,10 @@ def test_lstm_workspace_reused_across_length_mixes(small):
     model.fit(first + second, targets, level=1)  # move every weight off its initial value
     work = model._workspace(RNNPredictor.encode(first))
     for cells, target in ((first, targets[:3]), (second, targets[3:]), (first, targets[:3])):
-        loss, grads = model.loss_and_grads(cells, target, work)
+        batch = RNNPredictor.encode(cells)
+        loss, grads = model.loss_and_grads(batch, target, work)
         grads = {key: value.copy() for key, value in grads.items()}
-        fresh_loss, fresh_grads = model.loss_and_grads(cells, target)
+        fresh_loss, fresh_grads = model.loss_and_grads(batch, target, model._workspace(batch))
         assert loss == fresh_loss
         for key in fresh_grads:
             assert np.array_equal(grads[key], fresh_grads[key]), key
@@ -413,7 +413,8 @@ def test_factored_lstm_matches_unfactored_reference(small):
     model = new_predictor("rnn", 5)
     model.fit(cells, targets, level=1)  # move every weight off its initial value
     probs, loss, grads = unfactored_lstm(model, cells, targets)
-    got_loss, got_grads = model.loss_and_grads(cells, targets)
+    batch = RNNPredictor.encode(cells)
+    got_loss, got_grads = model.loss_and_grads(batch, targets, model._workspace(batch))
     assert np.max(np.abs(model.predict(cells) - probs)) < 1e-12
     assert abs(got_loss - loss) < 1e-12
     assert got_grads.keys() == grads.keys()
@@ -537,6 +538,8 @@ def test_fit_validation(small):
         model.fit(cells, accs[:-1], level=1)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         model.fit(cells, accs + 1.0, level=1)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        model.fit(cells, np.where(np.arange(len(accs)) == 2, np.nan, accs), level=1)
     with pytest.raises(ValueError, match="level"):
         model.fit(cells, accs, level=0)
     with pytest.raises(ValueError, match="one accuracy per cell"):

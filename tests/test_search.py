@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnas.cells import canonical_blocks, cell_key, one_block_cells, random_cell
+from pnas.cells import canonical_blocks, cell_key, one_block_cells, parse_cell_key, random_cell
 from pnas.evaluators import (
     EvalRecord,
     EvaluatorError,
@@ -294,6 +294,24 @@ def test_search_monotone_under_perfect_surrogate():
     bests = [acc for _, _, acc in trace.best_per_level()]
     assert len(bests) == 10
     assert all(a <= b for a, b in zip(bests, bests[1:]))
+
+
+@pytest.mark.parametrize("predictor", ["perfect", "mlp"])
+def test_level_results_match_the_trace_events(shrink, predictor):
+    shrink(EMBED_DIM=12, HIDDEN=10, EPOCHS_FIRST_LEVEL=20, EPOCHS_LATER_LEVELS=10)
+    oracle = SyntheticOracle(SyntheticOracleConfig(noise_sigma=0.0 if predictor == "perfect" else 0.01))
+    writer = ListWriter()
+    trace = pnas_search(SearchConfig(b_max=3, beam_size=16, predictor=predictor, seed=2), oracle, writer)
+
+    assert trace.levels[0].predicted is None
+    for lv in trace.levels[1:]:
+        predicts = [(ev["cell_key"], ev["value"]) for ev in writer.events if ev["event"] == "predict" and ev["level"] == lv.level]
+        assert list(zip(lv.keys, lv.predicted)) == predicts
+        if predictor == "perfect":  # the oracle's noise-free score selected each cell
+            assert lv.predicted == tuple(oracle.score(parse_cell_key(key)) for key in lv.keys)
+    evals = [ev for ev in writer.events if ev["event"] == "eval"]
+    assert [r.cell_key for r in trace.records] == [ev["cell_key"] for ev in evals]
+    assert [r.accuracy for r in trace.records] == [ev["value"] for ev in evals]
 
 
 def test_random_search_basics():
