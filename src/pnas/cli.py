@@ -15,7 +15,8 @@ comments, each parsed and checked as its flag would be. A ``ValueError``
 raised while a command checks its settings is a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 evaluator or transport
-error, 3 internal contract violation.
+error, 3 internal contract violation. ``exit_code`` maps an exception to
+its code, for ``main`` and for the manifest of a failed run alike.
 """
 
 from __future__ import annotations
@@ -93,6 +94,18 @@ class _Parser(argparse.ArgumentParser):
         return parsed, extras
 
 
+def exit_code(exc: BaseException) -> int | None:
+    """The exit code ``main`` returns for an exception: 1 configuration, 2 evaluator, 3 internal.
+
+    None for what ``main`` does not catch (an interrupt, a ``SystemExit``).
+    """
+    if not isinstance(exc, Exception):
+        return None
+    if isinstance(exc, (ConfigError, CellKeyError, TableParseError)):
+        return 1
+    return 2 if isinstance(exc, EvaluatorError) else 3
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -142,8 +155,9 @@ def _run_dir(path: str, manifest: dict):
     inherit the descriptor and hold the lock until they exit. The manifest
     is stamped with the format version and ``_versions()``, written as
     ``running`` on entry and rewritten as ``completed``, or as ``failed``
-    before the exception propagates. Yields a function that joins names
-    onto the directory.
+    with the exception's ``error`` type and message and the ``exit_code``
+    that ``main`` will return, before the exception propagates. Yields a
+    function that joins names onto the directory.
     """
     try:
         os.makedirs(path, exist_ok=True)
@@ -167,8 +181,13 @@ def _run_dir(path: str, manifest: dict):
         write_json(manifest_path, manifest)
         try:
             yield lambda *names: os.path.join(path, *names)
-        except BaseException:
-            manifest.update(status="failed", finished_utc=_utc_now())
+        except BaseException as exc:
+            manifest.update(
+                status="failed",
+                finished_utc=_utc_now(),
+                error={"type": type(exc).__name__, "message": str(exc)},
+                exit_code=exit_code(exc),
+            )
             write_json(manifest_path, manifest)
             raise
         manifest.update(status="completed", finished_utc=_utc_now())
@@ -407,15 +426,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, CellKeyError, TableParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EvaluatorError as exc:
-        print(f"evaluator error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code = exit_code(exc)
+        prefix = {1: "error", 2: "evaluator error", 3: f"internal error: {type(exc).__name__}"}[code]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

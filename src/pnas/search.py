@@ -5,6 +5,9 @@ one-block cell. Each later level b expands the current beam by every
 canonical b-th block, scores all children with the surrogate, keeps the
 top K by predicted accuracy (ties broken by cell key), evaluates them,
 and refits the surrogate from scratch on everything measured so far.
+The refit exists to score the next level's children, so it follows every
+level but the last: a B-level search emits B - 1 ``fit`` events, and a
+one-level search fits nothing.
 
 Children are never built one tuple at a time. The beam and the canonical
 blocks become integer arrays, and their cross product is scored as
@@ -309,6 +312,8 @@ def search_seeds(seed: int) -> dict[str, int]:
 def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
     """Run the progressive search and return its full trace.
 
+    The surrogate is refit after every level but the last, whose model
+    nothing would query: the search ends with the best cell of level B.
     An evaluator exception propagates unchanged; everything emitted to the
     writer before the failure is already flushed, so the partial trace
     survives on disk.
@@ -345,15 +350,17 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
             predicted = tuple(-neg for neg, _, _ in chosen)
 
         records = _evaluate(evaluator, beam, b, config, writer)
+        _check_some_succeeded(records, b)
+        levels.append(LevelResult(b, tuple(records), predicted))
+        if b == config.b_max:
+            break  # nothing is expanded past the last level, so a refit there would go unread
         # failed evaluations keep their budget slot but never train the surrogate
         for cell, rec in zip(beam, records):
             if rec.ok:
                 train_cells.append(cell)
                 train_accs.append(rec.accuracy)
-        _check_some_succeeded(records, b)
         snapshot = surrogate.update(train_cells, np.asarray(train_accs), b)
         _emit(writer, event="fit", level=b, cell_key=None, value=snapshot, seed=predictor_seed)
-        levels.append(LevelResult(b, tuple(records), predicted))
 
     return SearchTrace(levels=tuple(levels))
 

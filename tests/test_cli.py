@@ -15,9 +15,17 @@ from pathlib import Path
 import pytest
 
 import pnas
-from pnas.cells import one_block_cells
-from pnas.cli import build_parser, load_config_file, main
-from pnas.evaluators import EvalRequest, SyntheticOracle, SyntheticOracleConfig, write_table
+from pnas.cells import CellKeyError, one_block_cells
+from pnas.cli import ConfigError, build_parser, exit_code, load_config_file, main
+from pnas.evaluators import (
+    EvalRequest,
+    EvaluatorError,
+    SyntheticOracle,
+    SyntheticOracleConfig,
+    TableLookupError,
+    TableParseError,
+    write_table,
+)
 from pnas.harness import HarnessConfig
 from pnas.predictors import _BLAS_PINNED
 from pnas.search import EXAMPLES_PER_EPOCH, SearchConfig, plan_budget
@@ -167,11 +175,12 @@ def test_search_run_directory_artifacts(tmp_path, capsys):
     assert manifest["seeds"]["master"] == 3
     assert manifest["finished_utc"] is not None
     assert manifest["versions"]["blas_pinned"] is _BLAS_PINNED
+    assert "error" not in manifest and "exit_code" not in manifest
 
     events = read_trace(str(out_dir / "trace.jsonl"))
     kinds = [ev["event"] for ev in events]
     assert kinds.count("eval") == 136 + 8
-    assert kinds.count("fit") == 2
+    assert kinds.count("fit") == 1  # after level 1; nothing reads a model fitted after the last level
     assert kinds.count("expand") == 1
     assert kinds.count("select") == 8
 
@@ -506,6 +515,9 @@ def test_tabular_backend_happy_and_missing(tmp_path, capsys):
     assert "no entry for cell" in err
     manifest = json.loads((miss_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "TableLookupError"
+    assert f"evaluator error: {manifest['error']['message']}" in err
+    assert manifest["exit_code"] == 2
     assert_unlocked(miss_dir)  # released on failure too
 
 
@@ -607,6 +619,11 @@ def test_run_without_successful_evaluation_exits_2(tmp_path, capsys, argv, evals
     assert f"evaluator error: level {level}: none of its {evals} evaluations succeeded" in err
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+    assert manifest["error"] == {
+        "type": "NoSuccessfulEvaluationError",
+        "message": f"level {level}: none of its {evals} evaluations succeeded",
+    }
+    assert manifest["exit_code"] == 2
     events = read_trace(str(out_dir / "trace.jsonl"))
     assert [ev["event"] for ev in events] == ["eval"] * evals
     assert all(ev["error"] == "oom" and ev["value"] is None for ev in events)
@@ -711,6 +728,13 @@ def test_harness_pool_beyond_the_two_block_space_exits_before_any_draw(tmp_path,
     assert not out_dir.exists()
 
 
+def test_exit_code_is_the_one_main_returns():
+    assert exit_code(ConfigError("x")) == exit_code(CellKeyError("x")) == exit_code(TableParseError("x")) == 1
+    assert exit_code(EvaluatorError("x")) == exit_code(TableLookupError("x")) == 2
+    assert exit_code(RuntimeError("x")) == exit_code(ValueError("x")) == 3
+    assert exit_code(KeyboardInterrupt()) is None  # main does not catch it
+
+
 def test_unknown_flag_and_missing_command(capsys):
     code, _, err = run(capsys, "count", "--frobnicate")
     assert code == 1 and "error:" in err
@@ -803,6 +827,10 @@ def test_dead_fit_worker_exits_3_and_keeps_finished_levels(tmp_path):
     assert [ev["level"] for ev in events if ev["event"] == "eval"] == [1] * 136 + [2] * 8
     assert_unlocked(out_dir)
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["error"]["type"] == "RuntimeError"
+    assert "ensemble fit worker exited with code 7" in manifest["error"]["message"]
+    assert manifest["exit_code"] == 3
 
 
 @pytest.mark.skipif(not _BLAS_PINNED, reason="no known BLAS thread setter: BLAS follows the thread variables")

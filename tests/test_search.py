@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pnas.search
 from pnas.cells import canonical_blocks, cell_key, one_block_cells, parse_cell_key, random_cell
 from pnas.evaluators import (
     EvalRecord,
@@ -215,12 +216,12 @@ def test_search_trace_shape_and_budget(shrink):
     assert trace.levels[1].predicted is not None
     assert len(trace.levels[1].predicted) == 16
 
-    # event stream: eval*136 fit | expand predict*16 select*16 eval*16 fit | ...
+    # event stream: eval*136 | fit expand predict*16 select*16 eval*16 | ...: no fit after the last level
     kinds = [ev["event"] for ev in writer.events]
-    want = ["eval"] * 136 + ["fit"]
+    want = ["eval"] * 136
     for level_size in (16, 16):
-        want += ["expand"] + ["predict"] * level_size + ["select"] * level_size
-        want += ["eval"] * level_size + ["fit"]
+        want += ["fit", "expand"] + ["predict"] * level_size + ["select"] * level_size
+        want += ["eval"] * level_size
     assert kinds == want
 
     eval_seed = derive_seed(1, "eval")
@@ -254,8 +255,51 @@ def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch, shrink, p
         config = SearchConfig(b_max=3, beam_size=8, predictor=predictor, seed=4)
         pnas_search(config, SyntheticOracle(), writer)
         runs.append(writer.events)
-    assert [ev["event"] for ev in runs[0]].count("fit") == 3
+    assert [ev["event"] for ev in runs[0]].count("fit") == 2  # after levels 1 and 2; the 2-worker run forks for both
     assert runs[0] == runs[1]
+
+
+class SpySurrogate:
+    """Passes through to a real surrogate and records each update's level and row count."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.updates = []
+
+    def update(self, cells, accuracies, level):
+        self.updates.append((level, len(cells)))
+        return self.inner.update(cells, accuracies, level)
+
+    def predict(self, cells):
+        return self.inner.predict(cells)
+
+
+@pytest.mark.parametrize("b_max, updates", [(3, [(1, 136), (2, 136 + 8)]), (1, [])])
+def test_search_refits_after_every_level_but_the_last(monkeypatch, b_max, updates):
+    spies = []
+    real = pnas.search.make_surrogate
+
+    def spying(*args):
+        spies.append(SpySurrogate(real(*args)))
+        return spies[-1]
+
+    monkeypatch.setattr(pnas.search, "make_surrogate", spying)
+    writer = ListWriter()
+    trace = pnas_search(perfect_config(b_max=b_max), SyntheticOracle(SyntheticOracleConfig(noise_sigma=0.0)), writer)
+    assert len(trace.levels) == b_max
+    assert spies[0].updates == updates
+    assert [ev["level"] for ev in writer.events if ev["event"] == "fit"] == [level for level, _ in updates]
+
+
+def test_shorter_search_is_a_prefix_of_a_longer_one(shrink):
+    shrink(EMBED_DIM=8, HIDDEN=8, EPOCHS_FIRST_LEVEL=20, EPOCHS_LATER_LEVELS=10)
+    traces = {}
+    for b_max in (2, 3):
+        writer = ListWriter()
+        pnas_search(SearchConfig(b_max=b_max, beam_size=8, predictor="mlp", seed=6), SyntheticOracle(), writer)
+        traces[b_max] = writer.events
+    cut = next(i for i, ev in enumerate(traces[3]) if ev["event"] == "fit" and ev["level"] == 2)
+    assert traces[2] == traces[3][:cut]
 
 
 def test_search_failed_record_keeps_slot():
