@@ -104,20 +104,6 @@ def validate_cell(cell: CellSpec) -> None:
                 raise ValueError(f"block {pos}: operator id {o} outside [0, {NUM_OPERATORS})")
 
 
-def validate_cell_array(cells: np.ndarray) -> None:
-    """`validate_cell` for every row of an (n, b, 4) id array of b-block cells at once."""
-    if cells.ndim != 3 or cells.shape[2] != 4:
-        raise ValueError(f"a cell array must have shape (n, b, 4), got {cells.shape}")
-    b = cells.shape[1]
-    if not 1 <= b <= B_MAX:
-        raise ValueError(f"cell must have between 1 and {B_MAX} blocks, got {b}")
-    pos = np.arange(2, b + 2)
-    upper = np.stack([pos, pos, np.full(b, NUM_OPERATORS), np.full(b, NUM_OPERATORS)], axis=1)
-    bad = np.flatnonzero(((cells < 0) | (cells >= upper)).any(axis=(1, 2)))
-    if bad.size:
-        validate_cell(cells[bad[0]].tolist())  # raises, naming the block and the id
-
-
 def canonicalize_block(block: BlockSpec) -> BlockSpec:
     """Order the two (input, operator) pairs lexicographically."""
     i1, i2, o1, o2 = block

@@ -15,6 +15,14 @@ regressor bodies are provided:
   token sequence one embedded token at a time; the final hidden state
   feeds the sigmoid output layer.
 
+The two share everything but their bodies. ``Predictor`` draws both
+embedding tables, then the body's weights (``_body_params``), then the
+output layer, so every kind lays out its parameters in that order. It
+also holds the one sigmoid head: ``_output`` maps a body's (n, HIDDEN)
+last hidden layer to sigmoid(h @ w_out + b_out), and ``_head`` returns
+the L1 loss summed over those rows, adds w_out's and b_out's gradients
+and writes dL/dh, where the body's backward pass starts.
+
 The MLP never builds that 4D-dimensional vector. A batch is encoded once
 (``MLPPredictor.encode``) into slot counts: for each cell and each of the
 four slots, the fraction of its blocks holding each of the 11 input or 8
@@ -56,9 +64,12 @@ computing only ``dh = da @ W_h.T`` per step. After the loop ``W_h`` and
 the vocabulary collects ``dP = onehot(rows).T @ da``, which gives
 ``E.T @ dP`` for ``W_x`` and ``dP @ W_x.T`` for the embeddings.
 Prediction keeps only the latest step's state, and runs each length group
-in near-equal blocks of at most ``SCORE_ROWS`` rows, so the memory of
-scoring does not grow with the batch. Every LSTM step, forward and
-backward, writes through ``out=`` into buffers made before the time loop.
+in near-equal blocks of at most ``SCORE_ROWS`` rows, so its step buffers
+do not grow with the batch. The final states of a whole length group are
+kept for its one output-layer call, (m, HIDDEN) or 800 bytes a row, and
+they do grow with it: up to a scoring chunk of a search, and a whole pool
+in the harness. Every LSTM step, forward and backward, writes through
+``out=`` into buffers made before the time loop.
 A forward step makes one contiguous ``_sigmoid`` call over all four gates
 (g's tanh is staged and put back), in place with one division and no
 mask, and allocates only its z >= 0 mask; a backward step forms each
@@ -187,13 +198,14 @@ def _cell_blocks(cells) -> tuple[np.ndarray, np.ndarray]:
     """(blocks per cell, (total blocks, 4) token ids) of a batch, range-checked.
 
     `cells` is a sequence of cells of any mix of lengths, or an (n, b, 4)
-    id array; both encoders read their batch through this one check.
+    id array, whose ids keep their integer dtype; both encoders read their
+    batch through this one check.
     """
     if isinstance(cells, np.ndarray):
         if cells.ndim != 3 or cells.shape[2] != 4:
             raise ValueError(f"a cell array must have shape (n, b, 4), got {cells.shape}")
         lengths = np.full(len(cells), cells.shape[1])
-        blocks = cells.reshape(-1, 4).astype(np.intp, copy=False)
+        blocks = cells.reshape(-1, 4)
     else:
         lengths = np.fromiter((len(cell) for cell in cells), dtype=np.intp, count=len(cells))
         blocks = np.asarray([block for cell in cells for block in cell], dtype=np.intp).reshape(-1, 4)
@@ -319,7 +331,7 @@ class _Adam:
 
 
 class Predictor:
-    """Shared fit/predict machinery; subclasses supply forward and backward."""
+    """Shared parameters, head and fit/predict machinery; subclasses supply the body's weights, forward and backward."""
 
     kind = ""
 
@@ -346,6 +358,17 @@ class Predictor:
         return SimpleNamespace(grad=grad, grads=self._views(grad), **self._buffers(batch))
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """The embedding tables, the body's weights and the output layer, drawn and laid out in that order."""
+        return {
+            # the tables come first, inputs then operators, so RNNPredictor._vocab can read them as one view
+            "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, EMBED_DIM)),
+            "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, EMBED_DIM)),
+            **self._body_params(rng),
+            "w_out": rng.uniform(-0.1, 0.1, size=HIDDEN),
+            "b_out": np.full(1, FINAL_BIAS),
+        }
+
+    def _body_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
     @staticmethod
@@ -364,6 +387,24 @@ class Predictor:
     def _scores(self, batch) -> np.ndarray:
         """Predicted accuracy of each row of an encoded batch."""
         raise NotImplementedError
+
+    def _output(self, h: np.ndarray) -> np.ndarray:
+        """The sigmoid head: predicted accuracy of each row of a body's (n, HIDDEN) last hidden layer."""
+        return _sigmoid(h @ self.params["w_out"] + self.params["b_out"][0])
+
+    def _head(self, h: np.ndarray, targets: np.ndarray, n: int, grads: dict, dh: np.ndarray) -> float:
+        """Sum of |p - y| over the rows of `h`, for an L1 loss averaged over `n` cells.
+
+        Adds the head's gradients to ``grads["w_out"]`` and ``grads["b_out"]``,
+        and writes dL/dh, the body's backward input, into `dh`.
+        """
+        probs = self._output(h)
+        residual = probs - targets
+        dz = np.sign(residual) / n * probs * (1.0 - probs)
+        grads["w_out"] += h.T @ dz
+        grads["b_out"] += dz.sum()
+        np.multiply(dz[:, None], self.params["w_out"], out=dh)
+        return float(np.sum(np.abs(residual)))
 
     def predict(self, cells) -> np.ndarray:
         """Predicted accuracy of each cell, or of each row of an already encoded batch."""
@@ -404,19 +445,12 @@ class Predictor:
 class MLPPredictor(Predictor):
     kind = "mlp"
 
-    def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        d, h = EMBED_DIM, HIDDEN
-        params = {
-            "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, d)),
-            "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, d)),
-        }
-        width = 4 * d
+    def _body_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        params, width = {}, 4 * EMBED_DIM
         for layer in range(MLP_LAYERS):
-            params[f"w{layer}"] = rng.uniform(-0.1, 0.1, size=(width, h))
-            params[f"b{layer}"] = np.zeros(h)
-            width = h
-        params["w_out"] = rng.uniform(-0.1, 0.1, size=h)
-        params["b_out"] = np.full(1, FINAL_BIAS)
+            params[f"w{layer}"] = rng.uniform(-0.1, 0.1, size=(width, HIDDEN))
+            params[f"b{layer}"] = np.zeros(HIDDEN)
+            width = HIDDEN
         return params
 
     @staticmethod
@@ -457,7 +491,6 @@ class MLPPredictor(Predictor):
         return {
             "projected": np.empty((SLOT_WIDTH, h)),
             "hidden": np.empty((MLP_LAYERS, n, h)),
-            "z": np.empty(n),
         }
 
     def _buffers(self, batch: SlotCounts) -> dict[str, np.ndarray]:
@@ -470,8 +503,8 @@ class MLPPredictor(Predictor):
             "d_embed": np.empty((max(SLOT_VOCABS), EMBED_DIM)),
         }
 
-    def _forward(self, counts: SlotCounts, work=None) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities and the tanh output of every layer, stacked (layers, n, h).
+    def _forward(self, counts: SlotCounts, work=None) -> np.ndarray:
+        """The tanh output of every hidden layer, stacked (layers, n, h); the head reads the last.
 
         The first layer runs through the vocabulary: each slot's table is
         projected by its rows of w0, and the counts pick up the projections.
@@ -489,27 +522,24 @@ class MLPPredictor(Predictor):
                 np.matmul(hidden[layer - 1], p[f"w{layer}"], out=hidden[layer])
             hidden[layer] += p[f"b{layer}"]
             np.tanh(hidden[layer], out=hidden[layer])
-        z = np.matmul(hidden[-1], p["w_out"], out=work.z)
-        z += p["b_out"][0]
-        return _sigmoid(z), hidden
+        return hidden
 
     def _scores(self, batch: SlotCounts) -> np.ndarray:
         probs = np.empty(len(batch))
         for start in range(0, len(batch), SCORE_ROWS):
-            probs[start : start + SCORE_ROWS] = self._forward(SlotCounts(batch.matrix[start : start + SCORE_ROWS]))[0]
+            # the hidden stack stays a temporary, so one block's activations are freed before the next's
+            rows = SlotCounts(batch.matrix[start : start + SCORE_ROWS])
+            probs[start : start + SCORE_ROWS] = self._output(self._forward(rows)[-1])
         return probs
 
     def loss_and_grads(self, counts: SlotCounts, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``."""
-        probs, hidden = self._forward(counts, work)
-        residual = probs - targets
-        loss = float(np.mean(np.abs(residual)))
-        dz = np.sign(residual) / len(counts) * probs * (1.0 - probs)
+        hidden = self._forward(counts, work)
         grads, p = work.grads, self.params
-        np.matmul(hidden[-1].T, dz, out=grads["w_out"])
-        grads["b_out"][0] = dz.sum()
         dh, da = work.dh, work.da
-        np.multiply(dz[:, None], p["w_out"], out=dh)
+        grads["w_out"].fill(0.0)
+        grads["b_out"].fill(0.0)
+        loss = self._head(hidden[-1], targets, len(counts), grads, dh) / len(counts)
         for layer in reversed(range(MLP_LAYERS)):
             # da = dh * (1 - hidden^2)
             np.multiply(hidden[layer], hidden[layer], out=da)
@@ -532,18 +562,9 @@ class MLPPredictor(Predictor):
 class RNNPredictor(Predictor):
     kind = "rnn"
 
-    def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        d, h = EMBED_DIM, HIDDEN
-        return {
-            # the tables come first, inputs then operators, so _vocab can read them as one view
-            "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, d)),
-            "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, d)),
-            # gate order along the last axis: input, forget, cell, output
-            "w": rng.uniform(-0.1, 0.1, size=(d + h, 4 * h)),
-            "b": np.zeros(4 * h),
-            "w_out": rng.uniform(-0.1, 0.1, size=h),
-            "b_out": np.full(1, FINAL_BIAS),
-        }
+    def _body_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        # gate order along the last axis: input, forget, cell, output
+        return {"w": rng.uniform(-0.1, 0.1, size=(EMBED_DIM + HIDDEN, 4 * HIDDEN)), "b": np.zeros(4 * HIDDEN)}
 
     @staticmethod
     def encode(cells) -> TokenBatch:
@@ -650,9 +671,6 @@ class RNNPredictor(Predictor):
             np.multiply(o, tanh_c[k], out=h[nxt])
         return h[steps % depth], (gates, tanh_c, h, c)
 
-    def _output(self, h: np.ndarray) -> np.ndarray:
-        return _sigmoid(h @ self.params["w_out"] + self.params["b_out"][0])
-
     def _scores(self, batch: TokenBatch) -> np.ndarray:
         """Each length group runs through the LSTM in near-equal blocks of at most SCORE_ROWS rows.
 
@@ -695,16 +713,10 @@ class RNNPredictor(Predictor):
             m, steps = tokens.shape
             vocab_rows = tokens + STEP_ROWS[:steps]
             h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, work)
-            probs = self._output(h_last)
-            residual = probs - targets[rows]
-            loss += float(np.sum(np.abs(residual)))
-            dz = np.sign(residual) / n * probs * (1.0 - probs)
-            grads["w_out"] += h_last.T @ dz
-            grads["b_out"] += dz.sum()
             dh, dc, s1, s2 = (buf[: m * hd].reshape(m, hd) for buf in (work.dh, work.dc, work.s1, work.s2))
+            loss += self._head(h_last, targets[rows], n, grads, dh)
             lead = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
             lead_i, lead_f, lead_g, lead_o = (lead[:, j * hd : (j + 1) * hd] for j in range(4))
-            np.multiply(dz[:, None], p["w_out"], out=dh)
             dc.fill(0.0)
             for t in reversed(range(steps)):
                 a = gates[t]
@@ -742,8 +754,13 @@ class RNNPredictor(Predictor):
         return loss / n, grads
 
 
+PREDICTORS = {"mlp": MLPPredictor, "rnn": RNNPredictor}
+
+
 def new_predictor(kind: str, seed: int) -> Predictor:
-    return MLPPredictor(seed) if kind == "mlp" else RNNPredictor(seed)
+    if kind not in PREDICTORS:
+        raise ValueError(f"predictor kind must be one of {tuple(PREDICTORS)}, got {kind!r}")
+    return PREDICTORS[kind](seed)
 
 
 @dataclass(frozen=True)

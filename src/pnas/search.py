@@ -11,12 +11,14 @@ one-level search fits nothing.
 
 Children are never built one tuple at a time. The beam and the canonical
 blocks become integer arrays, and their cross product is scored as
-(n, b, 4) id arrays in chunks of whole parent expansions, at most
-``CHUNK_SIZE`` children each (one parent per chunk when a single
-expansion is larger), after one vectorised range check per chunk. The
-surrogate receives every child; an MLP surrogate runs its forward pass
-once per distinct slot-count row of the chunk and gathers the scores back. The K-th best score is found
-with ``np.partition``; only the children at or above it, exact ties included,
+(n, b, 4) ``uint8`` id arrays in chunks of whole parent expansions, at
+most ``CHUNK_SIZE`` children each (one parent per chunk when a single
+expansion is larger). The children need no range check of their own:
+each is a beam cell, checked when ``cell_key`` keyed it, plus one of
+``canonical_blocks(b)``. The surrogate receives every child; an MLP
+surrogate runs its forward pass once per distinct slot-count row of the
+chunk and gathers the scores back. The K-th best score is found with
+``np.partition``; only the children at or above it, exact ties included,
 get a cell key, and those are ordered by (-predicted, key). The beam is
 therefore exactly the one a full sort by (-predicted, key) gives.
 
@@ -54,15 +56,15 @@ from .cells import (
     cell_key,
     one_block_cells,
     random_cell,
-    validate_cell_array,
 )
 from .evaluators import EvalRecord, EvalRequest, EvaluatorError, SyntheticOracle
 from .metrics import top_m_curve
 from .network import StackPlan
-from .predictors import ensemble_fit, new_predictor, snapshot_id
+from .predictors import PREDICTORS, ensemble_fit, new_predictor, snapshot_id
 from .seeding import derive_seed
 
-PREDICTOR_KINDS = ("mlp", "rnn", "mlp-ens", "rnn-ens", "perfect")
+# each predictor alone, each as a bagged ensemble, and the noise-free oracle
+PREDICTOR_KINDS = (*PREDICTORS, *(f"{kind}-ens" for kind in PREDICTORS), "perfect")
 CHUNK_SIZE = 32_768
 
 # examples consumed per proxy-training epoch (train split of the image
@@ -263,20 +265,20 @@ def _check_some_succeeded(records: list[EvalRecord], level: int) -> None:
 def score_children(surrogate, parents: np.ndarray, blocks: np.ndarray, chunk_size: int) -> np.ndarray:
     """Scores of every parent + block child, parent-major.
 
-    `parents` is a (p, b-1, 4) and `blocks` an (m, 4) id array. Each chunk
-    holds as many whole expansions as fit in `chunk_size` children, and at
-    least one.
+    `parents` is a (p, b-1, 4) array of checked cells and `blocks` an (m, 4)
+    array of canonical blocks of position b. Each chunk holds as many whole
+    expansions as fit in `chunk_size` children, and at least one; the
+    surrogate gets each as a ``uint8`` id array, which every id fits.
     """
     m = len(blocks)
     per_chunk = max(1, chunk_size // m)
     scores = np.empty(len(parents) * m)
     for start in range(0, len(parents), per_chunk):
         group = parents[start : start + per_chunk]
-        children = np.empty((len(group), m, group.shape[1] + 1, 4), dtype=np.intp)
+        children = np.empty((len(group), m, group.shape[1] + 1, 4), dtype=np.uint8)
         children[:, :, :-1] = group[:, None]
         children[:, :, -1] = blocks
         children = children.reshape(len(group) * m, -1, 4)
-        validate_cell_array(children)
         scores[start * m : start * m + len(children)] = surrogate.predict(children)
     return scores
 

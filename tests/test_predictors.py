@@ -13,8 +13,13 @@ from hypothesis import given
 from pnas.cells import BlockSpec, cell_key, one_block_cells, parse_cell_key, random_cell
 from pnas.predictors import (
     BLAS_SETTERS,
+    EMBED_DIM,
     ENSEMBLE_SIZE,
+    FINAL_BIAS,
+    HIDDEN,
+    INPUT_VOCAB,
     MLP_LAYERS,
+    OP_VOCAB,
     SLOT_OFFSETS,
     SLOT_VOCABS,
     Ensemble,
@@ -33,6 +38,7 @@ from pnas.predictors import (
     new_predictor,
     snapshot_id,
 )
+from pnas.seeding import derive_seed
 
 from conftest import raw_cells
 
@@ -146,8 +152,8 @@ def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
         lengths = np.asarray([len(cell) for cell in batch])
         n_distinct = len(np.unique(np.rint(rows.matrix * lengths[:, None]), axis=0))
         assert n_distinct < len(batch)
-        single = model._forward(rows)[0]
-        bagged = np.mean([member._forward(rows)[0] for member in ens.members], axis=0)
+        single = model._output(model._forward(rows)[-1])
+        bagged = np.mean([member._output(member._forward(rows)[-1]) for member in ens.members], axis=0)
         reached = []  # rows reaching the first layer, per forward pass
 
         def counted(self, counts, forward=MLPPredictor._forward):
@@ -565,6 +571,38 @@ def test_fit_schedules(monkeypatch, shrink):
 def test_new_predictor_dispatch():
     assert isinstance(new_predictor("mlp", 0), MLPPredictor)
     assert isinstance(new_predictor("rnn", 0), RNNPredictor)
+
+
+def test_unknown_predictor_kind_rejected():
+    with pytest.raises(ValueError, match=r"one of \('mlp', 'rnn'\), got 'mpl'"):
+        new_predictor("mpl", 0)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "rnn"])
+def test_parameters_are_embeddings_then_body_then_head(kind):
+    model = new_predictor(kind, 0)
+    rng = np.random.default_rng(derive_seed(0, "init", kind))
+    d, h = EMBED_DIM, HIDDEN
+    want = {
+        "embed_in": rng.uniform(-0.1, 0.1, size=(INPUT_VOCAB, d)),
+        "embed_op": rng.uniform(-0.1, 0.1, size=(OP_VOCAB, d)),
+    }
+    if kind == "mlp":
+        width = 4 * d
+        for layer in range(MLP_LAYERS):
+            want[f"w{layer}"] = rng.uniform(-0.1, 0.1, size=(width, h))
+            want[f"b{layer}"] = np.zeros(h)
+            width = h
+    else:
+        want["w"] = rng.uniform(-0.1, 0.1, size=(d + h, 4 * h))
+        want["b"] = np.zeros(4 * h)
+    want["w_out"] = rng.uniform(-0.1, 0.1, size=h)
+    want["b_out"] = np.full(1, FINAL_BIAS)
+    assert list(model.params) == list(want)
+    for name, value in want.items():
+        assert np.array_equal(model.params[name].view(np.int64), value.view(np.int64)), name
+    if kind == "rnn":
+        assert np.array_equal(model._vocab(model.flat), np.vstack([want["embed_in"], want["embed_op"]]))
 
 
 def test_ensemble_folds_partition():

@@ -11,7 +11,10 @@ from pnas.evaluators import (
     SyntheticOracle,
     SyntheticOracleConfig,
 )
+from pnas.predictors import PREDICTORS
 from pnas.search import (
+    CHUNK_SIZE,
+    PREDICTOR_KINDS,
     ModelSurrogate,
     NoSuccessfulEvaluationError,
     SearchConfig,
@@ -176,18 +179,34 @@ def test_search_ties_match_brute_force_sort(monkeypatch, chunk_size):
     assert got_events == want_events
 
 
-def test_score_children_rejects_out_of_range_ids():
-    parents = np.asarray([p + (blk,) for p in one_block_cells()[:3] for blk in canonical_blocks(2)[:5]])
-    blocks = np.asarray(canonical_blocks(3))
-    assert score_children(FewScores(), parents, blocks, chunk_size=97).shape == (15 * len(blocks),)
-    bad_input = parents.copy()
-    bad_input[-1, 1, 1] = 3  # block 2 reads only ids 0-2
-    with pytest.raises(ValueError, match=r"block 2: input id 3 outside \[0, 3\)"):
-        score_children(FewScores(), bad_input, blocks, chunk_size=97)
-    bad_op = parents.copy()
-    bad_op[4, 0, 2] = 8
-    with pytest.raises(ValueError, match=r"block 1: operator id 8 outside \[0, 8\)"):
-        score_children(FewScores(), bad_op, blocks, chunk_size=1 << 20)
+@pytest.mark.parametrize("kind", ["mlp", "rnn", "mlp-ens", "perfect"])
+def test_uint8_children_score_like_int64_ones(kind, shrink):
+    shrink(EMBED_DIM=12, HIDDEN=10, EPOCHS_FIRST_LEVEL=20, EPOCHS_LATER_LEVELS=10)
+    oracle = SyntheticOracle()
+    surrogate = make_surrogate(kind, 3, oracle)
+    surrogate.update(one_block_cells(), [oracle.score(cell) for cell in one_block_cells()], 1)
+    seen = []
+
+    class Spy:
+        def predict(self, cells):
+            seen.append(cells)
+            return surrogate.predict(cells)
+
+    rng = np.random.default_rng(5)
+    for b in (2, 5):
+        parents = [random_cell(b - 1, rng) for _ in range(2)]
+        scores = score_children(Spy(), np.asarray(parents), np.asarray(canonical_blocks(b)), CHUNK_SIZE)
+        [children] = seen
+        seen.clear()
+        assert children.dtype == np.uint8
+        wide = np.asarray([parent + (block,) for parent in parents for block in canonical_blocks(b)], dtype=np.int64)
+        assert np.array_equal(children, wide)
+        assert np.array_equal(scores.view(np.int64), surrogate.predict(wide).view(np.int64))
+
+
+def test_predictor_kinds_are_the_predictor_table_bagged_or_not_and_perfect():
+    assert sorted(PREDICTOR_KINDS) == sorted([*PREDICTORS, *(f"{kind}-ens" for kind in PREDICTORS), "perfect"])
+    assert len(set(PREDICTOR_KINDS)) == len(PREDICTOR_KINDS)
 
 
 def test_search_degenerate_single_level():
