@@ -229,7 +229,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     if args.count < 0:
-        raise ConfigError(f"--count must be positive, got {args.count}")
+        raise ConfigError(f"--count must be >= 0 (0 matches the pnas budget), got {args.count}")
     if args.count and args.strategy != "random":
         raise ConfigError(f"--count is for --strategy random only; --strategy {args.strategy} spends the -B/-K budget")
     budget = plan_budget(config.b_max, config.beam_size)

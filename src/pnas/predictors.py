@@ -19,22 +19,22 @@ The two share everything but their bodies. ``Predictor`` draws both
 embedding tables, then the body's weights (``_body_params``), then the
 output layer, so every kind lays out its parameters in that order. It
 also holds the one sigmoid head: ``_output`` maps a body's (n, HIDDEN)
-last hidden layer to sigmoid(h @ w_out + b_out), and ``_head`` returns
-the L1 loss summed over those rows, adds w_out's and b_out's gradients
-and writes dL/dh, where the body's backward pass starts.
+last hidden layer to sigmoid(h . w_out + b_out) row by row, and
+``_head`` returns the L1 loss summed over those rows, adds w_out's and
+b_out's gradients and writes dL/dh, where the body's backward pass
+starts.
 
 The MLP never builds that 4D-dimensional vector. A batch is encoded once
 (``MLPPredictor.encode``) into slot counts: for each cell and each of the
 four slots, the fraction of its blocks holding each of the 11 input or 8
 operator ids, one (n, 38) matrix counted with one ``np.bincount`` per
-slot into ``uint8`` columns. Count k of
-a b-block cell maps to k copies of 1/b summed left to right, the value an
-``np.add.at`` accumulation gives. The slot average of embeddings is then
-``C_slot @ E_slot``, so the first layer factors through the 19-row
-vocabulary: its pre-activation is ``sum over slots of C_slot @ (E_slot @
-W0_slot)``, and its backward pass forms ``C_slot.T @ da`` once per slot
-before reaching ``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once,
-not once per epoch.
+slot into ``uint8`` columns and divided by the cell length, so count k
+of a b-block cell reads k/b correctly rounded. The slot average of
+embeddings is then ``C_slot @ E_slot``, so the first layer factors
+through the 19-row vocabulary: its pre-activation is ``sum over slots of
+C_slot @ (E_slot @ W0_slot)``, and its backward pass forms ``C_slot.T @
+da`` once per slot before reaching ``W0_slot`` and ``E_slot``. ``fit``
+encodes its batch once, not once per epoch.
 
 Averaging also makes cells with equal slot counts score bit-equal, and
 the children of a search collide often (202,336 children but 41,400
@@ -64,17 +64,15 @@ computing only ``dh = da @ W_h.T`` per step. After the loop ``W_h`` and
 the vocabulary collects ``dP = onehot(rows).T @ da``, which gives
 ``E.T @ dP`` for ``W_x`` and ``dP @ W_x.T`` for the embeddings.
 Prediction keeps only the latest step's state, and runs each length group
-in near-equal blocks of at most ``SCORE_ROWS`` rows, so its step buffers
-do not grow with the batch. The final states of a whole length group are
-kept for its one output-layer call, (m, HIDDEN) or 800 bytes a row, and
-they do grow with it: up to a scoring chunk of a search, and a whole pool
-in the harness. Every LSTM step, forward and backward, writes through
-``out=`` into buffers made before the time loop.
-A forward step makes one contiguous ``_sigmoid`` call over all four gates
-(g's tanh is staged and put back), in place with one division and no
-mask, and allocates only its z >= 0 mask; a backward step forms each
-gate's gradient and multiplies all four by their activations'
-derivatives at once, and allocates nothing.
+in near-equal blocks of at most ``SCORE_ROWS`` rows, head included, so
+its buffers do not grow with the batch. Every LSTM step, forward and
+backward, writes through ``out=`` into buffers made before the time
+loop, and allocates nothing.
+A forward step activates all four gates with one in-place ``tanh``
+between a per-gate scale and shift: sigmoid(z) is 0.5 * tanh(z / 2) +
+0.5 for i, f and o, and g keeps scale 1 and shift 0. A backward step
+forms each gate's gradient and multiplies all four by their
+activations' derivatives at once.
 
 Both are built from their kind and seed alone and train with one fixed
 recipe: ``EMBED_DIM`` (100) wide embeddings and ``HIDDEN`` (100) hidden
@@ -159,18 +157,6 @@ SLOT_WIDTH = sum(SLOT_VOCABS)
 # step t of a cell reads row token + STEP_ROWS[t] of it
 STEP_ROWS = np.tile([0, 0, INPUT_VOCAB, INPUT_VOCAB], B_MAX)
 STEP_VOCAB = np.arange(INPUT_VOCAB + OP_VOCAB)
-
-
-def _fraction_table() -> np.ndarray:
-    """table[b, k]: k copies of 1/b added left to right, as np.add.at accumulates them."""
-    table = np.zeros((B_MAX + 1, B_MAX + 1))
-    for b in range(1, B_MAX + 1):
-        for k in range(1, b + 1):
-            table[b, k] = table[b, k - 1] + 1.0 / b
-    return table
-
-
-_FRACTIONS = _fraction_table()
 
 
 # thread-count setters of numpy's bundled OpenBLAS, a system OpenBLAS (64-bit, then 32-bit ints) and MKL
@@ -275,24 +261,9 @@ class TokenBatch:
         return iter(cells)
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, without masks or branches.
-
-    Bit-equal to evaluating each branch on its own elements: e = exp(min(z,
-    -z)) is exp(-z) or exp(z) as the branch needs, and keeps a NaN's sign
-    bit. The numerator max(e, z >= 0) is 1 where z >= 0 (there e <= 1) and
-    e below, so one division serves both branches. The denominator 1 + e
-    and then the result go into `out` when given, which may be `z` itself:
-    the LSTM writes its gates in place on every step. Temporaries: the
-    z >= 0 mask, and e unless `scratch` (shaped like z) is given to hold it.
-    """
-    positive = z >= 0
-    e = np.negative(z, out=scratch)
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    d = np.add(e, 1.0, out=out)
-    np.maximum(e, positive, out=e)
-    return np.divide(e, d, out=d)
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), as 0.5 * tanh(z / 2) + 0.5: no overflow, no branch, and monotone."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
 class _Adam:
@@ -389,8 +360,13 @@ class Predictor:
         raise NotImplementedError
 
     def _output(self, h: np.ndarray) -> np.ndarray:
-        """The sigmoid head: predicted accuracy of each row of a body's (n, HIDDEN) last hidden layer."""
-        return _sigmoid(h @ self.params["w_out"] + self.params["b_out"][0])
+        """The sigmoid head: predicted accuracy of each row of a body's (n, HIDDEN) last hidden layer.
+
+        Each row's dot product with w_out is summed on its own, so a row's
+        score does not depend on the other rows of the call; a BLAS
+        matrix-vector product computes its last rows with other kernels.
+        """
+        return _sigmoid(np.einsum("ij,j->i", h, self.params["w_out"]) + self.params["b_out"][0])
 
     def _head(self, h: np.ndarray, targets: np.ndarray, n: int, grads: dict, dh: np.ndarray) -> float:
         """Sum of |p - y| over the rows of `h`, for an L1 loss averaged over `n` cells.
@@ -458,11 +434,10 @@ class MLPPredictor(Predictor):
         """Slot counts of a batch: cells of any mix of lengths, or an (n, b, 4) id array.
 
         Each (cell, slot, id) occurrence is counted with one np.bincount,
-        and count k of a b-block cell becomes k copies of 1/b summed left
-        to right.
+        and divided by the cell length.
         """
         lengths, counts = _slot_counts(cells)
-        return SlotCounts(_FRACTIONS[lengths[:, None], counts])
+        return SlotCounts(counts / lengths[:, None])
 
     def distinct(self, cells) -> tuple[SlotCounts, np.ndarray]:
         """Slot counts of the distinct rows of a batch, and each cell's row among them.
@@ -474,8 +449,7 @@ class MLPPredictor(Predictor):
         counts = _slot_counts(cells)[1]
         keys, inverse = np.unique(counts.view(np.dtype((np.void, SLOT_WIDTH))).ravel(), return_inverse=True)
         rows = keys.view(np.uint8).reshape(-1, SLOT_WIDTH)
-        lengths = rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)
-        return SlotCounts(_FRACTIONS[lengths, rows]), inverse
+        return SlotCounts(rows / rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)), inverse
 
     def _slot_weights(self) -> list[tuple[str, slice, slice]]:
         """(embedding table, rows of w0, columns of the slot counts) of each slot."""
@@ -592,8 +566,8 @@ class RNNPredictor(Predictor):
 
         A pass over m rows takes views of their leading elements.
         ``scratch`` holds (m, 4h) values a step uses and drops: its gathered
-        input term, the sigmoid's exponentials, and in the backward pass
-        each gate's gradient before its activation's derivative.
+        input term, and in the backward pass each gate's gradient before
+        its activation's derivative.
         """
         hd = HIDDEN
         return {
@@ -632,12 +606,15 @@ class RNNPredictor(Predictor):
         state step t starts from (``h[4b]`` is the final one). Without one,
         fresh buffers hold one step, and h and c are updated in place, so
         memory does not grow with the cell length. Every step writes
-        through ``out=`` and allocates only the sigmoid's z >= 0 mask.
+        through ``out=`` and allocates nothing.
         """
         proj, wh = projections
         hd = HIDDEN
         m, steps = vocab_rows.shape
         kept, depth = (steps, steps + 1) if work is not None else (1, 1)
+        # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for i, f and o; g keeps its plain tanh
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5], hd)
+        shift = np.repeat([0.5, 0.5, 0.0, 0.5], hd)
         if work is None:
             work = SimpleNamespace(**self._state_buffers(m, m, m))
         gates = work.gates[: kept * m * 4 * hd].reshape(kept, m, 4 * hd)
@@ -658,11 +635,11 @@ class RNNPredictor(Predictor):
             else:
                 np.take(proj, vocab_rows[:, 0], axis=0, out=a, mode="clip")
             a += self.params["b"]
+            a *= scale
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
             i, f, g, o = (a[:, j * hd : (j + 1) * hd] for j in range(4))
-            # one contiguous sigmoid over all four gates, g's tanh staged in tanh_c[k] and put back
-            np.tanh(g, out=tanh_c[k])
-            _sigmoid(a, out=a, scratch=scratch)
-            g[...] = tanh_c[k]
             # c[t + 1] = f * c[t] + i * g, with i * g staged in tanh_c[k]
             np.multiply(f, c[now], out=c[nxt])
             np.multiply(i, g, out=tanh_c[k])
@@ -675,9 +652,8 @@ class RNNPredictor(Predictor):
         """Each length group runs through the LSTM in near-equal blocks of at most SCORE_ROWS rows.
 
         A 1-row block would take other BLAS kernels than the same row in a
-        larger pass, and the output layer's matrix-vector product depends
-        on row positions, so blocks are near-equal and the output layer
-        runs once per group: scores do not depend on SCORE_ROWS.
+        larger pass, so blocks are near-equal, and the head reads each row
+        on its own: scores do not depend on SCORE_ROWS.
         """
         projections = self._projections()
         out = np.empty(len(batch))
@@ -685,10 +661,8 @@ class RNNPredictor(Predictor):
             m = len(rows)
             n_blocks = -(-m // SCORE_ROWS)
             bounds = [m * k // n_blocks for k in range(n_blocks + 1)]
-            h_last = np.empty((m, HIDDEN))
             for lo, hi in zip(bounds, bounds[1:]):
-                h_last[lo:hi] = self._run(tokens[lo:hi] + STEP_ROWS[: tokens.shape[1]], projections)[0]
-            out[rows] = self._output(h_last)
+                out[rows[lo:hi]] = self._output(self._run(tokens[lo:hi] + STEP_ROWS[: tokens.shape[1]], projections)[0])
         return out
 
     def loss_and_grads(self, batch: TokenBatch, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:

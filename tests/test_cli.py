@@ -231,7 +231,7 @@ def test_search_negative_count(tmp_path, capsys):
         "--out", str(tmp_path / "x"),
     )
     assert code == 1
-    assert "--count must be positive" in err
+    assert "--count must be >= 0" in err
 
     out_dir = tmp_path / "k0"
     code, out, err = run(capsys, "search", "-B", "2", "-K", "0", "--out", str(out_dir))

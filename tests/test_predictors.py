@@ -1,6 +1,7 @@
 """Surrogate predictors: encoding, training, ensembling."""
 
 import ctypes
+import decimal
 import multiprocessing
 import os
 import time
@@ -22,6 +23,7 @@ from pnas.predictors import (
     OP_VOCAB,
     SLOT_OFFSETS,
     SLOT_VOCABS,
+    STEP_ROWS,
     Ensemble,
     MLPPredictor,
     Predictor,
@@ -58,17 +60,16 @@ def train_batch(n: int = 40, b: int = 2, seed: int = 3):
 
 
 def reference_slot_counts(cells):
-    """I1, I2, O1, O2 frequencies accumulated with np.add.at, 1/b per block."""
+    """I1, I2, O1, O2 frequencies: each cell's count of every id in a slot, divided by its block count."""
     slots = [np.zeros((len(cells), vocab)) for vocab in SLOT_VOCABS]
     for row, cell in enumerate(cells):
         tokens = np.asarray(cell, dtype=np.int64).reshape(-1, 4)
-        rows = np.full(len(tokens), row)
         for slot, counts in enumerate(slots):
-            np.add.at(counts, (rows, tokens[:, slot]), 1.0 / len(tokens))
+            counts[row] = np.bincount(tokens[:, slot], minlength=counts.shape[1]) / len(tokens)
     return slots
 
 
-def test_slot_counts_match_add_at_on_mixed_lengths():
+def test_slot_counts_match_reference_on_mixed_lengths():
     rng = np.random.default_rng(4)
     cells = [random_cell(b, rng) for b in (3, 1, 10, 2, 7, 3, 5, 9, 6) for _ in range(12)]
     encoded = MLPPredictor.encode(cells)
@@ -76,7 +77,7 @@ def test_slot_counts_match_add_at_on_mixed_lengths():
     assert np.array_equal(encoded.matrix, np.hstack(reference_slot_counts(cells)))
 
 
-def test_slot_counts_match_add_at_on_id_array():
+def test_slot_counts_match_reference_on_id_array():
     rng = np.random.default_rng(5)
     for b in (3, 6, 7, 10):
         array = np.asarray([random_cell(b, rng) for _ in range(40)])
@@ -318,39 +319,42 @@ def test_ensemble_fit_raises_a_worker_exception_as_its_type(monkeypatch, small):
     assert not multiprocessing.active_children()
 
 
-def masked_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def test_sigmoid_within_half_an_ulp_of_one():
+    rng = np.random.default_rng(6)
+    z = np.concatenate([np.linspace(-800.0, 800.0, 16001), rng.normal(scale=5.0, size=4000)])
+    with decimal.localcontext() as context:
+        context.prec = 50
+        exact = [1 / (1 + (-decimal.Decimal(x)).exp()) for x in z.tolist()]
+        worst = max(abs(decimal.Decimal(p) - want) for p, want in zip(_sigmoid(z).tolist(), exact))
+    assert worst <= decimal.Decimal(2.0**-53)
 
 
-def test_sigmoid_bit_equal_to_masked_branches():
-    special = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
-    assert np.array_equal(_sigmoid(special).view(np.int64), masked_sigmoid(special).view(np.int64))
-    gates = np.random.default_rng(6).normal(scale=30.0, size=(64, 400))
-    gates[::5, ::7] = np.resize(special, gates[::5, ::7].shape)
-    for cols in (slice(0, 200), slice(300, 400), slice(1, 400, 3)):
-        z = gates[:, cols]
-        assert not z.flags.c_contiguous
-        assert np.array_equal(_sigmoid(z).view(np.int64), masked_sigmoid(z).view(np.int64))
-    for cols in (slice(0, 200), slice(300, 400), slice(1, 400, 3)):
-        inplace = gates.copy()
-        z = inplace[:, cols]
-        want = masked_sigmoid(z)
-        assert _sigmoid(z, out=z) is z
-        assert np.array_equal(z.view(np.int64), want.view(np.int64))
-        outside = np.ones(gates.shape, dtype=bool)
-        outside[:, cols] = False
-        assert np.array_equal(inplace[outside].view(np.int64), gates[outside].view(np.int64))
-        target = np.zeros((64, 2 * gates.shape[1]))[:, ::2][:, cols]
-        assert _sigmoid(gates[:, cols], out=target) is target
-        assert np.array_equal(target.view(np.int64), want.view(np.int64))
-    whole = gates.copy()  # all four gates at once, e held in a scratch array, as the LSTM step runs it
-    assert _sigmoid(whole, out=whole, scratch=np.empty_like(whole)) is whole
-    assert np.array_equal(whole.view(np.int64), masked_sigmoid(gates).view(np.int64))
+def test_sigmoid_special_values_and_monotone():
+    got = _sigmoid(np.array([np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0, np.nan]))
+    assert got[:6].tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+    assert np.isnan(got[6])
+    z = np.sort(np.concatenate([np.random.default_rng(7).normal(scale=20.0, size=200_000), np.linspace(-40.0, 40.0, 200_001)]))
+    assert np.all(np.diff(_sigmoid(z)) >= 0.0)
+
+
+def test_lstm_step_activates_gates_like_sigmoid_and_tanh(small):
+    """One tanh over all four gates gives sigmoid of i, f and o and tanh of g, bit for bit."""
+    rng = np.random.default_rng(8)
+    model = new_predictor("rnn", 4)
+    b = model.params["b"]
+    b[::3] = np.resize([800.0, -800.0, 36.0, -36.0, 0.0, 1e-300, -745.0], b[::3].shape)
+    batch = model.encode([random_cell(3, rng) for _ in range(20)])
+    [(_, tokens)] = batch.groups
+    vocab_rows = tokens + STEP_ROWS[: tokens.shape[1]]
+    proj, wh = projections = model._projections()
+    _, (gates, _, h, _) = model._run(vocab_rows, projections, model._workspace(batch))
+    hd = model.params["w_out"].size  # HIDDEN as the fixture shrank it
+    for t in range(tokens.shape[1]):
+        pre = h[t] @ wh + proj[vocab_rows[:, t]] if t else proj[vocab_rows[:, t]].copy()
+        pre += b
+        for j, activation in enumerate((_sigmoid, _sigmoid, np.tanh, _sigmoid)):
+            cols = slice(j * hd, (j + 1) * hd)
+            assert np.array_equal(gates[t][:, cols], activation(pre[:, cols]))
 
 
 def test_lstm_workspace_reused_across_length_mixes(small):

@@ -204,6 +204,23 @@ def test_uint8_children_score_like_int64_ones(kind, shrink):
         assert np.array_equal(scores.view(np.int64), surrogate.predict(wide).view(np.int64))
 
 
+@pytest.mark.parametrize("kind", ["mlp", "rnn", "mlp-ens"])
+def test_learned_scores_do_not_depend_on_the_chunk_size(kind, shrink):
+    if kind == "rnn":
+        shrink(EMBED_DIM=12, HIDDEN=10, EPOCHS_FIRST_LEVEL=60, EPOCHS_LATER_LEVELS=30)
+    oracle = SyntheticOracle()
+    surrogate = make_surrogate(kind, 7, oracle)
+    surrogate.update(one_block_cells(), [oracle.score(cell) for cell in one_block_cells()], 1)
+    rng = np.random.default_rng(8)
+    parents = np.asarray(one_block_cells())[rng.choice(136, size=64, replace=False)]
+    blocks = np.asarray(canonical_blocks(2))
+    want = score_children(surrogate, parents, blocks, CHUNK_SIZE)
+    assert len(want) == 64 * 300
+    for chunk_size in (1, 97, 1 << 20):
+        got = score_children(surrogate, parents, blocks, chunk_size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_predictor_kinds_are_the_predictor_table_bagged_or_not_and_perfect():
     assert sorted(PREDICTOR_KINDS) == sorted([*PREDICTORS, *(f"{kind}-ens" for kind in PREDICTORS), "perfect"])
     assert len(set(PREDICTOR_KINDS)) == len(PREDICTOR_KINDS)
