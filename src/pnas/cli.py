@@ -29,6 +29,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -145,6 +146,10 @@ def _setting_errors():
         raise ConfigError(str(exc)) from None
 
 
+# every file a run writes besides its manifest, as glob patterns under the run directory
+RUN_OUTPUTS = ("trace.jsonl", "summary.csv", "best_cells.csv", "report.json", "graphs/best_b*.json")
+
+
 @contextmanager
 def _run_dir(path: str, manifest: dict):
     """Create and lock the run directory, and keep its manifest's status current.
@@ -152,12 +157,16 @@ def _run_dir(path: str, manifest: dict):
     The lock is an exclusive ``flock`` on the directory itself. The kernel
     drops it when the last process holding the descriptor exits, however
     it ends, so a killed run leaves no stale lock behind; forked fit workers
-    inherit the descriptor and hold the lock until they exit. The manifest
-    is stamped with the format version and ``_versions()``, written as
-    ``running`` on entry and rewritten as ``completed``, or as ``failed``
-    with the exception's ``error`` type and message and the ``exit_code``
-    that ``main`` will return, before the exception propagates. Yields a
-    function that joins names onto the directory.
+    inherit the descriptor and hold the lock until they exit. Under the
+    lock it deletes what an earlier run left there: the ``RUN_OUTPUTS``,
+    the manifest, and the ``NAME.<pid>.tmp`` files a run killed inside
+    ``traceio.replacing`` leaves. No other file is touched, so the
+    directory may hold the user's own. The manifest is stamped with the
+    format version and ``_versions()``, written as ``running`` on entry
+    and rewritten as ``completed``, or as ``failed`` with the exception's
+    ``error`` type and message and the ``exit_code`` that ``main`` will
+    return, before the exception propagates. Yields a function that joins
+    names onto the directory.
     """
     try:
         os.makedirs(path, exist_ok=True)
@@ -174,6 +183,9 @@ def _run_dir(path: str, manifest: dict):
             raise ConfigError(f"run directory {path!r} is locked by another run") from None
         except OSError as exc:
             raise ConfigError(f"cannot lock run directory {path!r}: {exc}") from None
+        for pattern in RUN_OUTPUTS + ("manifest.json",):
+            for stale in [*Path(path).glob(pattern), *Path(path).glob(f"{pattern}.[0-9]*.tmp")]:
+                stale.unlink()
         manifest_path = os.path.join(path, "manifest.json")
         manifest.update(
             format_version=1, versions=_versions(), started_utc=_utc_now(), finished_utc=None, status="running"

@@ -24,17 +24,26 @@ last hidden layer to sigmoid(h . w_out + b_out) row by row, and
 b_out's gradients and writes dL/dh, where the body's backward pass
 starts.
 
+Both kinds encode a batch into an ``Encoded``: row groups, each the batch
+rows it covers and their encoded rows. ``Predictor._scores`` is the one
+scoring loop. It runs each group in near-equal blocks of at most
+``SCORE_ROWS`` rows, through the kind's ``_last_hidden`` (its body's last
+hidden layer) and the head, so the memory scoring takes does not grow
+with the batch. A short block takes other BLAS kernels than the same rows
+in a longer pass, and near-equal blocks leave no short tail once a group
+is longer than ``SCORE_ROWS``.
+
 The MLP never builds that 4D-dimensional vector. A batch is encoded once
-(``MLPPredictor.encode``) into slot counts: for each cell and each of the
-four slots, the fraction of its blocks holding each of the 11 input or 8
-operator ids, one (n, 38) matrix counted with one ``np.bincount`` per
-slot into ``uint8`` columns and divided by the cell length, so count k
-of a b-block cell reads k/b correctly rounded. The slot average of
-embeddings is then ``C_slot @ E_slot``, so the first layer factors
-through the 19-row vocabulary: its pre-activation is ``sum over slots of
-C_slot @ (E_slot @ W0_slot)``, and its backward pass forms ``C_slot.T @
-da`` once per slot before reaching ``W0_slot`` and ``E_slot``. ``fit``
-encodes its batch once, not once per epoch.
+(``MLPPredictor.encode``) into one row group of slot fractions: for each
+cell and each of the four slots, the fraction of its blocks holding each
+of the 11 input or 8 operator ids, one (n, 38) matrix counted with one
+``np.bincount`` per slot into ``uint8`` columns and divided by the cell
+length, so count k of a b-block cell reads k/b correctly rounded. The
+slot average of embeddings is then ``C_slot @ E_slot``, so the first
+layer factors through the 19-row vocabulary: its pre-activation is ``sum
+over slots of C_slot @ (E_slot @ W0_slot)``, and its backward pass forms
+``C_slot.T @ da`` once per slot before reaching ``W0_slot`` and
+``E_slot``. ``fit`` encodes its batch once, not once per epoch.
 
 Averaging also makes cells with equal slot counts score bit-equal, and
 the children of a search collide often (202,336 children but 41,400
@@ -44,18 +53,18 @@ keyed on their integer counts as a ``uint8`` void view, ``np.unique``
 returns the distinct rows and the inverse index, and the scores are
 gathered back through it. The key holds the cell length too, since each
 slot's counts sum to it. An ensemble finds the distinct rows once for all
-its members; training still runs on every row. The distinct rows go
-through the forward pass ``SCORE_ROWS`` at a time, so the memory scoring
-takes stays the same however many distinct rows a batch has (that number
-follows the search's seed; a search's peak RSS would follow it too).
+its members; training still runs on every row. The distinct rows are
+scored in the blocks of ``_scores``, so the memory scoring takes stays the
+same however many distinct rows a batch has (that number follows the
+search's seed; a search's peak RSS would follow it too).
 
-The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``:
-for each cell length b, the batch rows of the b-block cells and their
-(m, 4b) token ids. Both encoders range-check ids through one helper. The
-LSTM's input projection factors through the same vocabulary: its two
-tables lead the flat parameter vector, so they read as one 19-row
-vocabulary (operators after inputs) without a copy, each forward pass
-computes ``E @ W_x`` (19 x 4h) once, and step t gathers
+The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``,
+an ``Encoded`` with one group per cell length b: the batch rows of the
+b-block cells and their (m, 4b) token ids. Both encoders range-check
+ids through one helper. The LSTM's input projection factors through the
+same vocabulary: its two tables lead the flat parameter vector, so they
+read as one 19-row vocabulary (operators after inputs) without a copy,
+each forward pass computes ``E @ W_x`` (19 x 4h) once, and step t gathers
 the rows of its tokens, so no input matmul runs inside the time loop. A
 training pass keeps every step's activated gates in one (4b, m, 4h) array,
 and the backward time loop overwrites them with the gate gradients da,
@@ -63,11 +72,9 @@ computing only ``dh = da @ W_h.T`` per step. After the loop ``W_h`` and
 ``b`` get their gradients from one matmul and one sum over all steps, and
 the vocabulary collects ``dP = onehot(rows).T @ da``, which gives
 ``E.T @ dP`` for ``W_x`` and ``dP @ W_x.T`` for the embeddings.
-Prediction keeps only the latest step's state, and runs each length group
-in near-equal blocks of at most ``SCORE_ROWS`` rows, head included, so
-its buffers do not grow with the batch. Every LSTM step, forward and
-backward, writes through ``out=`` into buffers made before the time
-loop, and allocates nothing.
+Prediction keeps only the latest step's state, so a block's buffers hold
+one step. Every LSTM step, forward and backward, writes through ``out=``
+into buffers made before the time loop, and allocates nothing.
 A forward step activates all four gates with one in-place ``tanh``
 between a per-gate scale and shift: sigmoid(z) is 0.5 * tanh(z / 2) +
 0.5 for i, f and o, and g keeps scale 1 and shift 0. A backward step
@@ -224,33 +231,29 @@ def _slot_counts(cells) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class SlotCounts:
-    """A batch encoded for the MLP: one row of slot counts per cell.
+class Encoded:
+    """A batch encoded for a predictor, as row groups.
 
-    Columns ``SLOT_OFFSETS[s] : SLOT_OFFSETS[s] + SLOT_VOCABS[s]`` of row r
-    hold, for every id of slot s (I1, I2, O1, O2), the fraction of the
-    blocks of cell r that carry it.
-    """
-
-    matrix: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class TokenBatch:
-    """A batch encoded for the LSTM, grouped by cell length.
-
-    ``groups`` holds, for each cell length b in ascending order, the batch
-    rows of the b-block cells and their (m, 4b) token ids: I1, I2, O1, O2
-    of each block in turn.
+    ``groups`` holds (batch rows, encoded rows) pairs. For the MLP it is one
+    group: every row, and its (n, SLOT_WIDTH) slot fractions, whose columns
+    ``SLOT_OFFSETS[s] : SLOT_OFFSETS[s] + SLOT_VOCABS[s]`` hold, for every
+    id of slot s (I1, I2, O1, O2), the fraction of the cell's blocks that
+    carry it. For the LSTM it is a ``TokenBatch``.
     """
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
         return sum(len(rows) for rows, _ in self.groups)
+
+
+class TokenBatch(Encoded):
+    """A batch encoded for the LSTM, grouped by cell length.
+
+    ``groups`` holds, for each cell length b in ascending order, the batch
+    rows of the b-block cells and their (m, 4b) token ids: I1, I2, O1, O2
+    of each block in turn.
+    """
 
     def __iter__(self):
         """The cells as (b, 4) id arrays, in batch order."""
@@ -355,9 +358,19 @@ class Predictor:
         batch = self.encode(cells)
         return batch, np.arange(len(batch))
 
-    def _scores(self, batch) -> np.ndarray:
-        """Predicted accuracy of each row of an encoded batch."""
-        raise NotImplementedError
+    def _scores(self, batch: Encoded) -> np.ndarray:
+        """Predicted accuracy of each row of an encoded batch, scored in near-equal blocks of at most SCORE_ROWS rows.
+
+        A kind supplies ``_last_hidden(block)``: its body's (m, HIDDEN) last
+        hidden layer over a block of m encoded rows of one group.
+        """
+        out = np.empty(len(batch))
+        for rows, encoded in batch.groups:
+            n_blocks = -(-len(rows) // SCORE_ROWS)
+            bounds = [len(rows) * k // n_blocks for k in range(n_blocks + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                out[rows[lo:hi]] = self._output(self._last_hidden(encoded[lo:hi]))
+        return out
 
     def _output(self, h: np.ndarray) -> np.ndarray:
         """The sigmoid head: predicted accuracy of each row of a body's (n, HIDDEN) last hidden layer.
@@ -384,7 +397,7 @@ class Predictor:
 
     def predict(self, cells) -> np.ndarray:
         """Predicted accuracy of each cell, or of each row of an already encoded batch."""
-        if isinstance(cells, (SlotCounts, TokenBatch)):
+        if isinstance(cells, Encoded):
             return self._scores(cells)
         batch, inverse = self.distinct(cells)
         return self._scores(batch)[inverse]
@@ -430,17 +443,17 @@ class MLPPredictor(Predictor):
         return params
 
     @staticmethod
-    def encode(cells) -> SlotCounts:
-        """Slot counts of a batch: cells of any mix of lengths, or an (n, b, 4) id array.
+    def encode(cells) -> Encoded:
+        """Slot fractions of a batch, as one row group: cells of any mix of lengths, or an (n, b, 4) id array.
 
         Each (cell, slot, id) occurrence is counted with one np.bincount,
         and divided by the cell length.
         """
         lengths, counts = _slot_counts(cells)
-        return SlotCounts(counts / lengths[:, None])
+        return Encoded(((np.arange(len(counts)), counts / lengths[:, None]),))
 
-    def distinct(self, cells) -> tuple[SlotCounts, np.ndarray]:
-        """Slot counts of the distinct rows of a batch, and each cell's row among them.
+    def distinct(self, cells) -> tuple[Encoded, np.ndarray]:
+        """Slot fractions of the distinct rows of a batch, as one row group, and each cell's row among them.
 
         Rows are keyed on their integer counts as bytes. A slot's counts sum
         to the cell length, so cells of different lengths never share a key,
@@ -449,7 +462,7 @@ class MLPPredictor(Predictor):
         counts = _slot_counts(cells)[1]
         keys, inverse = np.unique(counts.view(np.dtype((np.void, SLOT_WIDTH))).ravel(), return_inverse=True)
         rows = keys.view(np.uint8).reshape(-1, SLOT_WIDTH)
-        return SlotCounts(rows / rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)), inverse
+        return Encoded(((np.arange(len(rows)), rows / rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)),)), inverse
 
     def _slot_weights(self) -> list[tuple[str, slice, slice]]:
         """(embedding table, rows of w0, columns of the slot counts) of each slot."""
@@ -467,7 +480,7 @@ class MLPPredictor(Predictor):
             "hidden": np.empty((MLP_LAYERS, n, h)),
         }
 
-    def _buffers(self, batch: SlotCounts) -> dict[str, np.ndarray]:
+    def _buffers(self, batch: Encoded) -> dict[str, np.ndarray]:
         n, h = len(batch), HIDDEN
         return {
             **self._forward_buffers(n),
@@ -477,8 +490,8 @@ class MLPPredictor(Predictor):
             "d_embed": np.empty((max(SLOT_VOCABS), EMBED_DIM)),
         }
 
-    def _forward(self, counts: SlotCounts, work=None) -> np.ndarray:
-        """The tanh output of every hidden layer, stacked (layers, n, h); the head reads the last.
+    def _forward(self, counts: np.ndarray, work=None) -> np.ndarray:
+        """The tanh output of every hidden layer over (n, SLOT_WIDTH) slot fractions, stacked (layers, n, h).
 
         The first layer runs through the vocabulary: each slot's table is
         projected by its rows of w0, and the counts pick up the projections.
@@ -490,7 +503,7 @@ class MLPPredictor(Predictor):
         projected, hidden = work.projected, work.hidden
         for table, rows, columns in self._slot_weights():
             np.matmul(p[table], p["w0"][rows], out=projected[columns])
-        np.matmul(counts.matrix, projected, out=hidden[0])
+        np.matmul(counts, projected, out=hidden[0])
         for layer in range(MLP_LAYERS):
             if layer:
                 np.matmul(hidden[layer - 1], p[f"w{layer}"], out=hidden[layer])
@@ -498,16 +511,13 @@ class MLPPredictor(Predictor):
             np.tanh(hidden[layer], out=hidden[layer])
         return hidden
 
-    def _scores(self, batch: SlotCounts) -> np.ndarray:
-        probs = np.empty(len(batch))
-        for start in range(0, len(batch), SCORE_ROWS):
-            # the hidden stack stays a temporary, so one block's activations are freed before the next's
-            rows = SlotCounts(batch.matrix[start : start + SCORE_ROWS])
-            probs[start : start + SCORE_ROWS] = self._output(self._forward(rows)[-1])
-        return probs
+    def _last_hidden(self, counts: np.ndarray) -> np.ndarray:
+        # the hidden stack stays a temporary, so one block's activations are freed before the next's
+        return self._forward(counts)[-1]
 
-    def loss_and_grads(self, counts: SlotCounts, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_and_grads(self, batch: Encoded, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``."""
+        [(_, counts)] = batch.groups
         hidden = self._forward(counts, work)
         grads, p = work.grads, self.params
         dh, da = work.dh, work.da
@@ -523,7 +533,7 @@ class MLPPredictor(Predictor):
             if layer:
                 np.matmul(hidden[layer - 1].T, da, out=grads[f"w{layer}"])
                 np.matmul(da, p[f"w{layer}"].T, out=dh)
-        d_counts = np.matmul(counts.matrix.T, da, out=work.d_counts)
+        d_counts = np.matmul(counts.T, da, out=work.d_counts)
         grads["embed_in"].fill(0.0)
         grads["embed_op"].fill(0.0)
         for table, rows, columns in self._slot_weights():
@@ -648,22 +658,8 @@ class RNNPredictor(Predictor):
             np.multiply(o, tanh_c[k], out=h[nxt])
         return h[steps % depth], (gates, tanh_c, h, c)
 
-    def _scores(self, batch: TokenBatch) -> np.ndarray:
-        """Each length group runs through the LSTM in near-equal blocks of at most SCORE_ROWS rows.
-
-        A 1-row block would take other BLAS kernels than the same row in a
-        larger pass, so blocks are near-equal, and the head reads each row
-        on its own: scores do not depend on SCORE_ROWS.
-        """
-        projections = self._projections()
-        out = np.empty(len(batch))
-        for rows, tokens in batch.groups:
-            m = len(rows)
-            n_blocks = -(-m // SCORE_ROWS)
-            bounds = [m * k // n_blocks for k in range(n_blocks + 1)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                out[rows[lo:hi]] = self._output(self._run(tokens[lo:hi] + STEP_ROWS[: tokens.shape[1]], projections)[0])
-        return out
+    def _last_hidden(self, tokens: np.ndarray) -> np.ndarray:
+        return self._run(tokens + STEP_ROWS[: tokens.shape[1]], self._projections())[0]
 
     def loss_and_grads(self, batch: TokenBatch, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss and its gradients; only dh = da @ W_h^T runs inside the backward time loop.

@@ -54,6 +54,7 @@ from .cells import (
     CellSpec,
     canonical_blocks,
     cell_key,
+    enumerate_blocks,
     one_block_cells,
     random_cell,
 )
@@ -337,7 +338,7 @@ def pnas_search(config: SearchConfig, evaluator, writer=None) -> SearchTrace:
                 event="expand",
                 level=b,
                 cell_key=None,
-                value={"raw": len(beam) * (b + 1) * (b + 1) * 64, "unique": len(beam) * len(blocks)},
+                value={"raw": len(beam) * len(enumerate_blocks(b)), "unique": len(beam) * len(blocks)},
                 seed=config.seed,
             )
 

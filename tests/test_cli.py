@@ -211,6 +211,68 @@ def test_search_reruns_are_byte_identical(tmp_path, capsys):
         ).read_bytes()
 
 
+def run_files(out_dir):
+    return sorted(path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*") if path.is_file())
+
+
+def test_a_run_in_a_used_directory_leaves_only_its_own_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "search", "-B", "3", "-K", "4", "--predictor", "mlp", "--out", str(out_dir))
+    assert code == 0
+    # what a run killed inside traceio.replacing leaves behind
+    (out_dir / "summary.csv.4242.tmp").write_text("x\n")
+    (out_dir / "graphs" / "best_b3.json.4242.tmp").write_text("x\n")
+    code, _, _ = run(capsys, "search", "--strategy", "random", "-B", "2", "--count", "5", "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / "best_cells.csv").read_text().splitlines()[1].startswith("2,")
+    assert run_files(out_dir) == [
+        "best_cells.csv", "graphs/best_b2.json", "manifest.json", "summary.csv", "trace.jsonl",
+    ]
+
+    out_dir = tmp_path / "failed"
+    args = ["search", "-B", "2", "-K", "4", "--predictor", "mlp", "--out", str(out_dir)]
+    assert run(capsys, *args)[0] == 0
+    code, _, _ = run(capsys, *args, "--evaluator", "external", "--worker-cmd", "false")
+    assert code == 2
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
+    assert (out_dir / "trace.jsonl").read_text() == ""
+    assert run_files(out_dir) == ["manifest.json", "trace.jsonl"]
+
+    out_dir = tmp_path / "harness"
+    assert run(capsys, "search", "-B", "2", "-K", "4", "--predictor", "mlp", "--out", str(out_dir))[0] == 0
+    code, _, _ = run(
+        capsys, "harness", "-T", "1", "-K", "8", "-R", "20", "-B", "2", "--predictors", "mlp", "--out", str(out_dir),
+    )
+    assert code == 0
+    assert run_files(out_dir) == ["manifest.json", "report.json", "summary.csv"]
+
+
+def test_a_run_in_a_used_directory_matches_one_in_a_fresh_directory(tmp_path, capsys):
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert run(capsys, "search", "-B", "3", "-K", "4", "--predictor", "mlp", "--out", str(used))[0] == 0
+    for out_dir in (used, fresh):
+        code, _, _ = run(capsys, "search", "--strategy", "random", "-B", "2", "--count", "5", "--out", str(out_dir))
+        assert code == 0
+    compare = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+    result = subprocess.run(
+        [sys.executable, str(compare), str(used), str(fresh)], capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_a_run_keeps_the_users_own_files(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    (out_dir / "graphs").mkdir(parents=True)
+    (out_dir / "notes.txt").write_text("mine\n")
+    (out_dir / "summary.csv.bak").write_text("mine\n")
+    (out_dir / "graphs" / "sketch.json").write_text("{}\n")
+    for _ in range(2):
+        assert run(capsys, "search", "-B", "2", "-K", "4", "--predictor", "mlp", "--out", str(out_dir))[0] == 0
+    assert (out_dir / "notes.txt").read_text() == "mine\n"
+    assert (out_dir / "summary.csv.bak").read_text() == "mine\n"
+    assert (out_dir / "graphs" / "sketch.json").read_text() == "{}\n"
+
+
 def test_search_random_strategy(tmp_path, capsys):
     out_dir = tmp_path / "rand"
     code, _, _ = run(

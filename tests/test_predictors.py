@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 
 from pnas.cells import BlockSpec, cell_key, one_block_cells, parse_cell_key, random_cell
+from pnas.evaluators import SyntheticOracle
 from pnas.predictors import (
     BLAS_SETTERS,
     EMBED_DIM,
@@ -28,7 +29,6 @@ from pnas.predictors import (
     MLPPredictor,
     Predictor,
     RNNPredictor,
-    SlotCounts,
     _Adam,
     _free_cpus,
     _pin_blas,
@@ -74,7 +74,7 @@ def test_slot_counts_match_reference_on_mixed_lengths():
     cells = [random_cell(b, rng) for b in (3, 1, 10, 2, 7, 3, 5, 9, 6) for _ in range(12)]
     encoded = MLPPredictor.encode(cells)
     assert len(encoded) == len(cells)
-    assert np.array_equal(encoded.matrix, np.hstack(reference_slot_counts(cells)))
+    assert np.array_equal(encoded.groups[0][1], np.hstack(reference_slot_counts(cells)))
 
 
 def test_slot_counts_match_reference_on_id_array():
@@ -84,7 +84,7 @@ def test_slot_counts_match_reference_on_id_array():
         assert array.shape == (40, b, 4)
         encoded = MLPPredictor.encode(array)
         assert len(encoded) == 40
-        assert np.array_equal(encoded.matrix, np.hstack(reference_slot_counts(array)))
+        assert np.array_equal(encoded.groups[0][1], np.hstack(reference_slot_counts(array)))
 
 
 def test_slot_counts_reject_ids_outside_the_vocabulary():
@@ -104,7 +104,7 @@ def test_slot_counts_follow_key_fields(cell):
         for segment in cell_key(cell).split("|", 1)[1].split(";")
     ]
     b = len(fields)
-    slots = np.hsplit(MLPPredictor.encode([parse_cell_key(cell_key(cell))]).matrix[0], SLOT_OFFSETS[1:])
+    slots = np.hsplit(MLPPredictor.encode([parse_cell_key(cell_key(cell))]).groups[0][1][0], SLOT_OFFSETS[1:])
     for slot, field in enumerate((0, 2, 1, 3)):
         want = np.bincount([f[field] for f in fields], minlength=SLOT_VOCABS[slot])
         assert np.array_equal(np.rint(slots[slot] * b), want)
@@ -149,9 +149,9 @@ def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
     model.fit(cells, accs, level=1)
     ens = ensemble_fit(cells, accs, "mlp", 4, level=1)
     for batch in (listed, array):
-        rows = SlotCounts(np.hstack(reference_slot_counts(batch)))
+        rows = np.hstack(reference_slot_counts(batch))
         lengths = np.asarray([len(cell) for cell in batch])
-        n_distinct = len(np.unique(np.rint(rows.matrix * lengths[:, None]), axis=0))
+        n_distinct = len(np.unique(np.rint(rows * lengths[:, None]), axis=0))
         assert n_distinct < len(batch)
         single = model._output(model._forward(rows)[-1])
         bagged = np.mean([member._output(member._forward(rows)[-1]) for member in ens.members], axis=0)
@@ -198,13 +198,24 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch, shrink):
         assert max(sizes) > 7 and any(size % 7 for size in sizes)
         monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 7)
         assert np.array_equal(ens.predict(batch).view(np.int64), whole.view(np.int64))
-        if kind == "mlp":  # blocks of 7 and the remainder
-            blocks = [part for size in sizes for part in [7] * (size // 7) + [size % 7] if part]
-        else:  # near-equal blocks of at most 7
-            blocks = [np.diff(size * np.arange(-(-size // 7) + 1) // -(-size // 7)) for size in sizes]
-            blocks = np.concatenate(blocks).tolist()
+        # near-equal blocks of at most 7
+        blocks = [np.diff(size * np.arange(-(-size // 7) + 1) // -(-size // 7)) for size in sizes]
+        blocks = np.concatenate(blocks).tolist()
         assert max(blocks) <= 7 and reached == blocks * ENSEMBLE_SIZE
         monkeypatch.undo()
+
+
+def test_mlp_scores_at_score_rows_equal_a_single_pass(monkeypatch):
+    # 4,246 distinct rows: one block of 4,096 and a 150-row tail would take other kernels than a single pass
+    cells = one_block_cells()
+    model = MLPPredictor(4)
+    model.fit(cells, [SyntheticOracle().score(cell) for cell in cells], level=1)
+    rng = np.random.default_rng(4)
+    batch = [random_cell(5, rng) for _ in range(4246)]
+    assert len(model.distinct(batch)[0]) == 4246
+    blocked = model.predict(batch)
+    monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 1 << 30)
+    assert np.array_equal(blocked.view(np.int64), model.predict(batch).view(np.int64))
 
 
 def test_free_cpus_count_usable_cpus_when_blas_is_pinned(monkeypatch):

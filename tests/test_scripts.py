@@ -1,5 +1,6 @@
 """The scripts in scripts/ run against the package as it stands."""
 
+import json
 import os
 import subprocess
 import sys
@@ -72,3 +73,60 @@ def test_compare_runs_tells_reruns_from_an_edited_copy(tmp_path):
     n_predict = sum('"event":"predict"' in line for line in lines)
     assert f"  predict: 1 of {n_predict} events differ" in rows
     assert any(row.startswith("  eval: 0 of ") for row in rows)
+
+
+BENCH_STUB = """
+import json, os, sys
+side = os.path.basename(os.getcwd())
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open(os.path.join("..", "calls.log"), "a") as log:
+    log.write(f"{side} {seed} {' '.join(sys.argv[1:])}\\n")
+change = side == "change"
+wall = seed - 80 - (1 if change else 0) + (20 if change and seed == 93 else 0)
+values = {"wall_s": wall, "cpu_s": 5.0, "peak_rss_mb": 110.0 if change else 100.0, "top25_acc": 0.95 if change else 0.9}
+print("workload stub")
+print(json.dumps({"correct": CORRECT, "attempted": 4, "failed": 0, "metrics": {k: {"value": v} for k, v in values.items()}}))
+"""
+
+
+def test_bench_pairs_alternates_and_compares_canned_results(tmp_path):
+    metrics = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "cpu_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+        {"name": "top25_acc", "better": "higher", "bound": 0.02},
+    ]
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(BENCH_STUB.replace("CORRECT", "True"))
+    bench = {"command": [sys.executable, "perfbench/run.py"], "run_seconds": 7, "end_to_end": metrics}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def pairs():
+        argv = [str(SCRIPTS / "bench_pairs.py"), "parent", "change", "--workload", "w", "--seeds", "90", "93"]
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=False, cwd=tmp_path)
+
+    result = pairs()
+    assert result.returncode == 0, result.stderr
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert [call.split()[:2] for call in calls] == [
+        ["parent", "90"], ["change", "90"], ["change", "91"], ["parent", "91"],
+        ["parent", "92"], ["change", "92"], ["change", "93"], ["parent", "93"],
+    ]
+    assert calls[0].split()[2:] == ["--workload", "w", "--seed", "90", "--seconds", "7", "--trace", "0"]
+    # parent wall_s 10-13, change 9, 10, 11 and 32: quartiles 10.75 and 12.25 by the inclusive method
+    assert result.stdout.splitlines() == [
+        "workload w pairs 4 seeds 90-93",
+        "wall_s parent 11.5 change 10.5 parent_iqr 1.5 won 3 lost 1",
+        "cpu_s parent 5.0 change 5.0 parent_iqr 0.0 won 0 lost 0",
+        "peak_rss_mb parent 100.0 change 110.0 parent_iqr 0.0 won 0 lost 4 worse beyond bound",
+        "top25_acc parent 0.9 change 0.95 parent_iqr 0.0 won 4 lost 0",
+    ]
+
+    (tmp_path / "change" / "perfbench" / "run.py").write_text(BENCH_STUB.replace("CORRECT", "False"))
+    result = pairs()
+    assert result.returncode == 1 and result.stdout == ""
+    assert "correct False" in result.stderr
+    (tmp_path / "change" / "perfbench" / "run.py").write_text("print('benchmark error')\n")
+    result = pairs()
+    assert result.returncode == 1 and "the last line is not a result" in result.stderr
