@@ -24,46 +24,51 @@ last hidden layer to sigmoid(h . w_out + b_out) row by row, and
 b_out's gradients and writes dL/dh, where the body's backward pass
 starts.
 
-Both kinds encode a batch into an ``Encoded``: row groups, each the batch
-rows it covers and their encoded rows. ``Predictor._scores`` is the one
-scoring loop. It runs each group in near-equal blocks of at most
-``SCORE_ROWS`` rows, through the kind's ``_last_hidden`` (its body's last
-hidden layer) and the head, so the memory scoring takes does not grow
+Each kind has one encoder, ``encode(cells)``, and both ``fit`` and
+``predict`` read what it returns: an ``Encoded``, whose ``groups`` are
+arrays of encoded rows, each scored on its own, and whose ``inverse``
+gives cell i's row in the concatenation of the groups. Gathering through
+``inverse`` is the only way a score reaches its cell. ``Predictor._scores``
+is the one scoring loop. It runs each group in near-equal blocks of at
+most ``SCORE_ROWS`` rows, through the kind's ``_last_hidden`` (its body's
+last hidden layer) and the head, so the memory scoring takes does not grow
 with the batch. A short block takes other BLAS kernels than the same rows
-in a longer pass, and near-equal blocks leave no short tail once a group
-is longer than ``SCORE_ROWS``.
+in a longer pass: near-equal blocks leave no short tail once a group is
+longer than ``SCORE_ROWS``, and a lone row is scored as two copies of
+itself. An ensemble encodes a batch once for all its members, averages
+their scores per encoded row and gathers the means once.
 
-The MLP never builds that 4D-dimensional vector. A batch is encoded once
-(``MLPPredictor.encode``) into one row group of slot fractions: for each
-cell and each of the four slots, the fraction of its blocks holding each
-of the 11 input or 8 operator ids, one (n, 38) matrix counted with one
-``np.bincount`` per slot into ``uint8`` columns and divided by the cell
-length, so count k of a b-block cell reads k/b correctly rounded. The
-slot average of embeddings is then ``C_slot @ E_slot``, so the first
-layer factors through the 19-row vocabulary: its pre-activation is ``sum
-over slots of C_slot @ (E_slot @ W0_slot)``, and its backward pass forms
-``C_slot.T @ da`` once per slot before reaching ``W0_slot`` and
-``E_slot``. ``fit`` encodes its batch once, not once per epoch.
+The MLP never builds that 4D-dimensional vector. Its encoder counts, for
+each cell and each of the four slots, the blocks holding each of the 11
+input or 8 operator ids: one (n, 38) matrix counted with one
+``np.bincount`` per slot into ``uint8`` columns. Averaging makes cells
+with equal slot counts score bit-equal, and the children of a search
+collide often (202,336 children but 41,400 distinct rows over a B=5, K=64
+search). So the rows are keyed on their counts as a ``uint8`` void view,
+and ``np.unique`` returns the distinct rows and ``inverse``. The key holds
+the cell length too, since each slot's counts sum to it. The one group is
+the distinct rows' slot fractions: counts divided by the cell length, so
+count k of a b-block cell reads k/b correctly rounded. The forward pass
+runs once per distinct row, and the distinct rows are scored in the
+blocks of ``_scores``, so the memory scoring takes stays the same however
+many distinct rows a batch has (that number follows the search's seed; a
+search's peak RSS would follow it too). Training still runs on every
+cell: each epoch gathers the cells' rows through ``inverse`` into a
+workspace matrix. The slot average of embeddings is ``C_slot @ E_slot``,
+so the first layer factors through the 19-row vocabulary: its
+pre-activation is ``sum over slots of C_slot @ (E_slot @ W0_slot)``, and
+its backward pass forms ``C_slot.T @ da`` once per slot before reaching
+``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once, not once per
+epoch.
 
-Averaging also makes cells with equal slot counts score bit-equal, and
-the children of a search collide often (202,336 children but 41,400
-distinct rows over a B=5, K=64 search). So MLP prediction runs the
-forward pass once per distinct row (``MLPPredictor.distinct``): rows are
-keyed on their integer counts as a ``uint8`` void view, ``np.unique``
-returns the distinct rows and the inverse index, and the scores are
-gathered back through it. The key holds the cell length too, since each
-slot's counts sum to it. An ensemble finds the distinct rows once for all
-its members; training still runs on every row. The distinct rows are
-scored in the blocks of ``_scores``, so the memory scoring takes stays the
-same however many distinct rows a batch has (that number follows the
-search's seed; a search's peak RSS would follow it too).
-
-The LSTM encodes a batch (``RNNPredictor.encode``) into a ``TokenBatch``,
-an ``Encoded`` with one group per cell length b: the batch rows of the
-b-block cells and their (m, 4b) token ids. Both encoders range-check
-ids through one helper. The LSTM's input projection factors through the
-same vocabulary: its two tables lead the flat parameter vector, so they
-read as one 19-row vocabulary (operators after inputs) without a copy,
+The LSTM encodes a batch into a ``TokenBatch``, an ``Encoded`` with one
+group per cell length b in ascending order: the (m, 4b) token ids of the
+b-block cells, in batch order. Its rows are the batch sorted stably by
+length, and ``inverse`` is the inverse of that permutation; training puts
+its targets in the same order. Both encoders range-check ids through one
+helper. The LSTM's input projection factors through the same vocabulary:
+its two tables lead the flat parameter vector, so they read as one 19-row
+vocabulary (operators after inputs) without a copy,
 each forward pass computes ``E @ W_x`` (19 x 4h) once, and step t gathers
 the rows of its tokens, so no input matmul runs inside the time loop. A
 training pass keeps every step's activated gates in one (4b, m, 4h) array,
@@ -232,36 +237,36 @@ def _slot_counts(cells) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Encoded:
-    """A batch encoded for a predictor, as row groups.
+    """A batch of cells encoded for a predictor: its encoded rows, in groups, and one gather index.
 
-    ``groups`` holds (batch rows, encoded rows) pairs. For the MLP it is one
-    group: every row, and its (n, SLOT_WIDTH) slot fractions, whose columns
-    ``SLOT_OFFSETS[s] : SLOT_OFFSETS[s] + SLOT_VOCABS[s]`` hold, for every
-    id of slot s (I1, I2, O1, O2), the fraction of the cell's blocks that
-    carry it. For the LSTM it is a ``TokenBatch``.
+    ``groups`` holds arrays of encoded rows, each scored on its own.
+    ``inverse[i]`` is cell i's row in their concatenation, and its length is
+    the batch's. For the MLP there is one group: the (m, SLOT_WIDTH) slot
+    fractions of the batch's m distinct rows, whose columns ``SLOT_OFFSETS[s]
+    : SLOT_OFFSETS[s] + SLOT_VOCABS[s]`` hold, for every id of slot s (I1,
+    I2, O1, O2), the fraction of the cell's blocks that carry it. For the
+    LSTM it is a ``TokenBatch``.
     """
 
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    groups: tuple[np.ndarray, ...]
+    inverse: np.ndarray
 
     def __len__(self) -> int:
-        return sum(len(rows) for rows, _ in self.groups)
+        return len(self.inverse)
 
 
 class TokenBatch(Encoded):
     """A batch encoded for the LSTM, grouped by cell length.
 
-    ``groups`` holds, for each cell length b in ascending order, the batch
-    rows of the b-block cells and their (m, 4b) token ids: I1, I2, O1, O2
-    of each block in turn.
+    ``groups`` holds, for each cell length b in ascending order, the (m, 4b)
+    token ids of the b-block cells in batch order: I1, I2, O1, O2 of each
+    block in turn.
     """
 
     def __iter__(self):
-        """The cells as (b, 4) id arrays, in batch order."""
-        cells = [None] * len(self)
-        for rows, tokens in self.groups:
-            for row, cell in zip(rows, tokens.reshape(len(rows), -1, 4)):
-                cells[row] = cell
-        return iter(cells)
+        """The encoded cells as (b, 4) id arrays, in group order."""
+        for tokens in self.groups:
+            yield from tokens.reshape(len(tokens), -1, 4)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -346,31 +351,26 @@ class Predictor:
         raise NotImplementedError
 
     @staticmethod
-    def encode(cells):
-        """The batch as predict and loss_and_grads consume it, encoded once."""
+    def encode(cells) -> Encoded:
+        """The batch as predict and loss_and_grads consume it: its encoded rows and each cell's row among them."""
         raise NotImplementedError
 
-    def distinct(self, cells):
-        """The encoded rows the forward pass runs on, and the index that gathers their scores back to `cells`.
-
-        Here every cell is a row of its own; the MLP scores each distinct row once.
-        """
-        batch = self.encode(cells)
-        return batch, np.arange(len(batch))
-
     def _scores(self, batch: Encoded) -> np.ndarray:
-        """Predicted accuracy of each row of an encoded batch, scored in near-equal blocks of at most SCORE_ROWS rows.
+        """Predicted accuracy of each encoded row, in group order, scored in near-equal blocks of at most SCORE_ROWS rows.
 
         A kind supplies ``_last_hidden(block)``: its body's (m, HIDDEN) last
-        hidden layer over a block of m encoded rows of one group.
+        hidden layer over a block of m encoded rows of one group. A 1-row
+        pass takes other BLAS kernels than the same row among others, so a
+        lone row is scored twice over and its first score kept.
         """
-        out = np.empty(len(batch))
-        for rows, encoded in batch.groups:
-            n_blocks = -(-len(rows) // SCORE_ROWS)
-            bounds = [len(rows) * k // n_blocks for k in range(n_blocks + 1)]
+        scores = []
+        for encoded in batch.groups:
+            n_blocks = -(-len(encoded) // SCORE_ROWS)
+            bounds = [len(encoded) * k // n_blocks for k in range(n_blocks + 1)]
             for lo, hi in zip(bounds, bounds[1:]):
-                out[rows[lo:hi]] = self._output(self._last_hidden(encoded[lo:hi]))
-        return out
+                block = encoded[lo:hi] if hi - lo > 1 else encoded[[lo, lo]]
+                scores.append(self._output(self._last_hidden(block))[: hi - lo])
+        return np.concatenate(scores)
 
     def _output(self, h: np.ndarray) -> np.ndarray:
         """The sigmoid head: predicted accuracy of each row of a body's (n, HIDDEN) last hidden layer.
@@ -396,11 +396,15 @@ class Predictor:
         return float(np.sum(np.abs(residual)))
 
     def predict(self, cells) -> np.ndarray:
-        """Predicted accuracy of each cell, or of each row of an already encoded batch."""
+        """Predicted accuracy of each cell, gathered from its encoded row's score.
+
+        Given an already encoded batch, the score of each of its encoded rows
+        instead, in group order; ``Ensemble.predict`` gathers them.
+        """
         if isinstance(cells, Encoded):
             return self._scores(cells)
-        batch, inverse = self.distinct(cells)
-        return self._scores(batch)[inverse]
+        batch = self.encode(cells)
+        return self._scores(batch)[batch.inverse]
 
     def loss_and_grads(self, batch, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
         """L1 loss over an encoded batch and its gradients, written into `work` (the batch's `_workspace`)."""
@@ -444,25 +448,18 @@ class MLPPredictor(Predictor):
 
     @staticmethod
     def encode(cells) -> Encoded:
-        """Slot fractions of a batch, as one row group: cells of any mix of lengths, or an (n, b, 4) id array.
-
-        Each (cell, slot, id) occurrence is counted with one np.bincount,
-        and divided by the cell length.
-        """
-        lengths, counts = _slot_counts(cells)
-        return Encoded(((np.arange(len(counts)), counts / lengths[:, None]),))
-
-    def distinct(self, cells) -> tuple[Encoded, np.ndarray]:
-        """Slot fractions of the distinct rows of a batch, as one row group, and each cell's row among them.
+        """Slot fractions of the distinct rows of a batch, as one group: cells of any mix of lengths, or an (n, b, 4) id array.
 
         Rows are keyed on their integer counts as bytes. A slot's counts sum
         to the cell length, so cells of different lengths never share a key,
-        and each distinct row's length is read back from its I1 counts.
+        and each distinct row's counts are divided by the length read back
+        from its I1 counts.
         """
+        # the counting stays in _slot_counts, whose (n * b) temporaries are freed before np.unique runs
         counts = _slot_counts(cells)[1]
         keys, inverse = np.unique(counts.view(np.dtype((np.void, SLOT_WIDTH))).ravel(), return_inverse=True)
         rows = keys.view(np.uint8).reshape(-1, SLOT_WIDTH)
-        return Encoded(((np.arange(len(rows)), rows / rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True)),)), inverse
+        return Encoded((rows / rows[:, :INPUT_VOCAB].sum(axis=1, keepdims=True),), inverse)
 
     def _slot_weights(self) -> list[tuple[str, slice, slice]]:
         """(embedding table, rows of w0, columns of the slot counts) of each slot."""
@@ -484,6 +481,7 @@ class MLPPredictor(Predictor):
         n, h = len(batch), HIDDEN
         return {
             **self._forward_buffers(n),
+            "counts": np.empty((n, SLOT_WIDTH)),
             "dh": np.empty((n, h)),
             "da": np.empty((n, h)),
             "d_counts": np.empty((SLOT_WIDTH, h)),
@@ -516,8 +514,13 @@ class MLPPredictor(Predictor):
         return self._forward(counts)[-1]
 
     def loss_and_grads(self, batch: Encoded, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
-        """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``."""
-        [(_, counts)] = batch.groups
+        """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``.
+
+        Each cell's row of slot fractions is gathered from the distinct rows;
+        ``inverse`` is in range by construction, and mode="clip" spares
+        np.take a buffered copy.
+        """
+        counts = np.take(batch.groups[0], batch.inverse, axis=0, out=work.counts, mode="clip")
         hidden = self._forward(counts, work)
         grads, p = work.grads, self.params
         dh, da = work.dh, work.da
@@ -555,12 +558,13 @@ class RNNPredictor(Predictor):
         """Token ids of a batch, grouped by length: cells of any mix of lengths, or an (n, b, 4) id array."""
         lengths, blocks = _cell_blocks(cells)
         first = np.cumsum(lengths) - lengths
-        groups = []
-        for b in np.unique(lengths):
-            rows = np.flatnonzero(lengths == b)
-            tokens = blocks[first[rows, None] + np.arange(b)].reshape(len(rows), 4 * b)
-            groups.append((rows, tokens))
-        return TokenBatch(tuple(groups))
+        order = np.argsort(lengths, kind="stable")
+        group_lengths, starts = np.unique(lengths[order], return_index=True)
+        groups = (
+            blocks[first[rows, None] + np.arange(b)].reshape(len(rows), 4 * b)
+            for b, rows in zip(group_lengths, np.split(order, starts[1:]))
+        )
+        return TokenBatch(tuple(groups), np.argsort(order))
 
     def _vocab(self, flat: np.ndarray) -> np.ndarray:
         """Both embedding tables as one (19, d) view, inputs then operators, of a vector laid out like `flat`."""
@@ -595,9 +599,9 @@ class RNNPredictor(Predictor):
         mixed-length batch holds the largest group's states, not their sum.
         """
         hd = HIDDEN
-        rows = max(len(group_rows) for group_rows, _ in batch.groups)
-        kept = max(tokens.size for _, tokens in batch.groups)
-        states = max(tokens.size + len(group_rows) for group_rows, tokens in batch.groups)
+        rows = max(len(tokens) for tokens in batch.groups)
+        kept = max(tokens.size for tokens in batch.groups)
+        states = max(tokens.size + len(tokens) for tokens in batch.groups)
         return {
             **self._state_buffers(rows, kept, states),
             **{name: np.empty(rows * hd) for name in ("dh", "dc", "s1", "s2")},
@@ -679,12 +683,15 @@ class RNNPredictor(Predictor):
         d_proj = work.d_proj
         d_proj.fill(0.0)
         loss = 0.0
-        for rows, tokens in batch.groups:
+        ordered = np.empty(n)  # the targets in encoded order, split by group below
+        ordered[batch.inverse] = targets
+        splits = np.cumsum([len(tokens) for tokens in batch.groups])[:-1]
+        for tokens, group_targets in zip(batch.groups, np.split(ordered, splits)):
             m, steps = tokens.shape
             vocab_rows = tokens + STEP_ROWS[:steps]
             h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, work)
             dh, dc, s1, s2 = (buf[: m * hd].reshape(m, hd) for buf in (work.dh, work.dc, work.s1, work.s2))
-            loss += self._head(h_last, targets[rows], n, grads, dh)
+            loss += self._head(h_last, group_targets, n, grads, dh)
             lead = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
             lead_i, lead_f, lead_g, lead_o = (lead[:, j * hd : (j + 1) * hd] for j in range(4))
             dc.fill(0.0)
@@ -746,8 +753,9 @@ class Ensemble:
             raise ValueError("ensemble members must share one predictor kind")
 
     def predict(self, cells) -> np.ndarray:
-        batch, inverse = self.members[0].distinct(cells)
-        return np.mean([member.predict(batch) for member in self.members], axis=0)[inverse]
+        """The member mean for each cell: the batch is encoded once, the means taken per encoded row and gathered once."""
+        batch = self.members[0].encode(cells)
+        return np.mean([member.predict(batch) for member in self.members], axis=0)[batch.inverse]
 
 
 def ensemble_folds(n: int, seed: int) -> list[np.ndarray]:

@@ -71,10 +71,15 @@ def reference_slot_counts(cells):
 
 def test_slot_counts_match_reference_on_mixed_lengths():
     rng = np.random.default_rng(4)
-    cells = [random_cell(b, rng) for b in (3, 1, 10, 2, 7, 3, 5, 9, 6) for _ in range(12)]
-    encoded = MLPPredictor.encode(cells)
-    assert len(encoded) == len(cells)
-    assert np.array_equal(encoded.groups[0][1], np.hstack(reference_slot_counts(cells)))
+    mixed = [random_cell(b, rng) for b in (3, 1, 10, 2, 7, 3, 5, 9, 6) for _ in range(12)]
+    # colliding cells repeat rows, and hold a pair and pair + pair: equal fractions, different counts
+    for cells in (mixed, colliding_cells(rng)):
+        encoded = MLPPredictor.encode(cells)
+        assert len(encoded) == len(cells)
+        want = np.hstack(reference_slot_counts(cells))
+        assert np.array_equal(encoded.groups[0][encoded.inverse], want)
+        lengths = np.asarray([len(cell) for cell in cells])
+        assert len(encoded.groups[0]) == len(np.unique(np.rint(want * lengths[:, None]), axis=0))
 
 
 def test_slot_counts_match_reference_on_id_array():
@@ -84,7 +89,7 @@ def test_slot_counts_match_reference_on_id_array():
         assert array.shape == (40, b, 4)
         encoded = MLPPredictor.encode(array)
         assert len(encoded) == 40
-        assert np.array_equal(encoded.groups[0][1], np.hstack(reference_slot_counts(array)))
+        assert np.array_equal(encoded.groups[0][encoded.inverse], np.hstack(reference_slot_counts(array)))
 
 
 def test_slot_counts_reject_ids_outside_the_vocabulary():
@@ -104,7 +109,7 @@ def test_slot_counts_follow_key_fields(cell):
         for segment in cell_key(cell).split("|", 1)[1].split(";")
     ]
     b = len(fields)
-    slots = np.hsplit(MLPPredictor.encode([parse_cell_key(cell_key(cell))]).groups[0][1][0], SLOT_OFFSETS[1:])
+    slots = np.hsplit(MLPPredictor.encode([parse_cell_key(cell_key(cell))]).groups[0][0], SLOT_OFFSETS[1:])
     for slot, field in enumerate((0, 2, 1, 3)):
         want = np.bincount([f[field] for f in fields], minlength=SLOT_VOCABS[slot])
         assert np.array_equal(np.rint(slots[slot] * b), want)
@@ -164,8 +169,16 @@ def test_dedup_scores_bit_equal_to_every_row(monkeypatch):
         monkeypatch.setattr(MLPPredictor, "_forward", counted)
         assert np.array_equal(model.predict(batch).view(np.int64), single.view(np.int64))
         assert reached == [n_distinct]
+        encoded = []  # batches the ensemble encodes
+
+        def encode(cells, encode=MLPPredictor.encode):
+            encoded.append(len(cells))
+            return encode(cells)
+
+        monkeypatch.setattr(MLPPredictor, "encode", staticmethod(encode))
         assert np.array_equal(ens.predict(batch).view(np.int64), bagged.view(np.int64))
         assert reached == [n_distinct] * (1 + ENSEMBLE_SIZE)
+        assert encoded == [len(batch)]
         monkeypatch.undo()
 
 
@@ -180,7 +193,7 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch, shrink):
         whole = ens.predict(batch)
         reached = []  # rows of each forward pass
         if kind == "mlp":
-            sizes = [len(ens.members[0].distinct(batch)[0])]
+            sizes = [len(ens.members[0].encode(batch).groups[0])]
 
             def counted(self, counts, forward=MLPPredictor._forward):
                 reached.append(len(counts))
@@ -188,7 +201,7 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch, shrink):
 
             monkeypatch.setattr(MLPPredictor, "_forward", counted)
         else:
-            sizes = [len(rows) for rows, _ in RNNPredictor.encode(batch).groups]
+            sizes = [len(tokens) for tokens in RNNPredictor.encode(batch).groups]
 
             def counted(self, vocab_rows, projections, run=RNNPredictor._run):
                 reached.append(len(vocab_rows))
@@ -198,10 +211,10 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch, shrink):
         assert max(sizes) > 7 and any(size % 7 for size in sizes)
         monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 7)
         assert np.array_equal(ens.predict(batch).view(np.int64), whole.view(np.int64))
-        # near-equal blocks of at most 7
+        # near-equal blocks of at most 7; a lone row (the rnn's one 4-block cell) runs as two
         blocks = [np.diff(size * np.arange(-(-size // 7) + 1) // -(-size // 7)) for size in sizes]
         blocks = np.concatenate(blocks).tolist()
-        assert max(blocks) <= 7 and reached == blocks * ENSEMBLE_SIZE
+        assert max(blocks) <= 7 and reached == [max(block, 2) for block in blocks] * ENSEMBLE_SIZE
         monkeypatch.undo()
 
 
@@ -212,7 +225,7 @@ def test_mlp_scores_at_score_rows_equal_a_single_pass(monkeypatch):
     model.fit(cells, [SyntheticOracle().score(cell) for cell in cells], level=1)
     rng = np.random.default_rng(4)
     batch = [random_cell(5, rng) for _ in range(4246)]
-    assert len(model.distinct(batch)[0]) == 4246
+    assert len(model.encode(batch).groups[0]) == 4246
     blocked = model.predict(batch)
     monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 1 << 30)
     assert np.array_equal(blocked.view(np.int64), model.predict(batch).view(np.int64))
@@ -355,7 +368,7 @@ def test_lstm_step_activates_gates_like_sigmoid_and_tanh(small):
     b = model.params["b"]
     b[::3] = np.resize([800.0, -800.0, 36.0, -36.0, 0.0, 1e-300, -745.0], b[::3].shape)
     batch = model.encode([random_cell(3, rng) for _ in range(20)])
-    [(_, tokens)] = batch.groups
+    [tokens] = batch.groups
     vocab_rows = tokens + STEP_ROWS[: tokens.shape[1]]
     proj, wh = projections = model._projections()
     _, (gates, _, h, _) = model._run(vocab_rows, projections, model._workspace(batch))
@@ -446,9 +459,9 @@ def test_factored_lstm_matches_unfactored_reference(small):
 def assert_same_tokens(got, want):
     assert len(got) == len(want)
     assert len(got.groups) == len(want.groups)
-    for (rows, tokens), (want_rows, want_tokens) in zip(got.groups, want.groups):
-        assert np.array_equal(rows, want_rows)
+    for tokens, want_tokens in zip(got.groups, want.groups):
         assert np.array_equal(tokens, want_tokens)
+    assert np.array_equal(got.inverse, want.inverse)
 
 
 def test_rnn_predicts_id_arrays_like_cells(small):
@@ -458,6 +471,46 @@ def test_rnn_predicts_id_arrays_like_cells(small):
     array = np.asarray(cells, dtype=np.int8)
     assert_same_tokens(RNNPredictor.encode(array), RNNPredictor.encode(cells))
     assert np.array_equal(model.predict(array), model.predict(cells))
+
+
+def mixed_length_cells(rng):
+    cells = [random_cell(b, rng) for b in (4, 1, 3, 1, 5, 3, 2, 4) for _ in range(3)]
+    return [cells[i] for i in rng.permutation(len(cells))]
+
+
+def test_rnn_encode_groups_ascending_lengths_and_gathers_back():
+    cells = mixed_length_cells(np.random.default_rng(10))
+    batch = RNNPredictor.encode(cells)
+    assert len(batch) == len(cells)
+    assert [tokens.shape[1] for tokens in batch.groups] == [4, 8, 12, 16, 20]
+    assert np.array_equal(np.sort(batch.inverse), np.arange(len(cells)))
+    # each group keeps its cells in batch order
+    assert np.array_equal(np.argsort(batch.inverse), np.argsort([len(cell) for cell in cells], kind="stable"))
+    rows = [row for tokens in batch.groups for row in tokens]
+    for cell, row in zip(cells, batch.inverse):
+        assert np.array_equal(rows[row], np.asarray(cell).reshape(-1))
+
+
+def test_token_batch_yields_every_cell_once():
+    # perfbench counts a TokenBatch's tokens as 4 * sum(len(c) for c in batch)
+    cells = mixed_length_cells(np.random.default_rng(11))
+    batch = RNNPredictor.encode(cells)
+    yielded = list(batch)
+    assert len(yielded) == len(cells)
+    for got, index in zip(yielded, np.argsort(batch.inverse)):
+        assert np.array_equal(got, np.asarray(cells[index]))
+
+
+def test_rnn_scores_a_cell_alone_like_in_a_batch(small):
+    # a 1-row pass takes other BLAS kernels than the same row among others; on OpenBLAS, scoring a
+    # lone row in a 1-row pass gave 33 of these 300 cells other bits than the batch
+    rng = np.random.default_rng(2)
+    cells = [random_cell(b, rng) for b in range(1, 6) for _ in range(12)]
+    model = new_predictor("rnn", 6)
+    model.fit(cells, rng.uniform(0.3, 0.95, size=len(cells)), level=1)
+    batch = [random_cell(b, rng) for b in range(1, 6) for _ in range(60)]
+    alone = np.concatenate([model.predict([cell]) for cell in batch])
+    assert np.array_equal(alone.view(np.int64), model.predict(batch).view(np.int64))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "rnn"])

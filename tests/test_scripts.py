@@ -130,3 +130,51 @@ def test_bench_pairs_alternates_and_compares_canned_results(tmp_path):
     (tmp_path / "change" / "perfbench" / "run.py").write_text("print('benchmark error')\n")
     result = pairs()
     assert result.returncode == 1 and "the last line is not a result" in result.stderr
+
+
+CHECKOUT_STUB = """
+import json, os, sys
+if os.environ["PYTHONPATH"] != os.path.join(os.getcwd(), "src"):
+    sys.exit(3)
+args = sys.argv[1:]
+out = args[args.index("--out") + 1]
+os.makedirs(out)
+side = os.path.basename(os.getcwd())
+if side == "change" and "perfect" in args:
+    print("stub error", file=sys.stderr)
+    sys.exit(2)
+trace = "rnn-ens from change" if side == "change" and "rnn-ens" in args else " ".join(args[: args.index("--out")])
+with open(os.path.join(out, "trace.jsonl"), "w") as fh:
+    fh.write(json.dumps({"event": "stub", "args": trace}) + "\\n")
+print("best_accuracy 0.9")
+print(f"out {out}")
+"""
+
+
+def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "pnas").mkdir(parents=True)
+        (tmp_path / side / "src" / "pnas" / "__main__.py").write_text(CHECKOUT_STUB)
+
+    def compare(*sides):
+        argv = [str(SCRIPTS / "compare_checkouts.py"), *sides]
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=False, cwd=tmp_path)
+
+    same = compare("parent", "parent")
+    assert same.returncode == 0, same.stdout + same.stderr
+    commands = same.stdout.splitlines()
+    assert len(commands) == 11 and all(row.startswith("identical pnas ") for row in commands)
+    assert "identical pnas search -B 5 -K 64 --predictor mlp-ens --sigma 0.01 --seed 3" in commands
+    assert any(row.endswith("--worker-cmd 'python3 scripts/echo_worker.py --sigma 0.01' --seed 0") for row in commands)
+
+    result = compare("parent", "change")
+    assert result.returncode == 1
+    rows = result.stdout.splitlines()
+    differs = [i for i, row in enumerate(rows) if row.startswith("differs ")]
+    assert [rows[i] for i in differs] == [
+        "differs pnas search -B 3 -K 16 --predictor rnn-ens --seed 1",
+        "differs pnas search -B 5 -K 64 --predictor perfect --seed 0",
+    ]
+    assert rows[differs[0] + 1 : differs[0] + 3] == ["  differs trace.jsonl", "    stub: 1 of 1 events differ"]
+    assert rows[differs[1] + 1] == "  change exited 2: stub error"
+    assert sum(row.startswith("identical pnas ") for row in rows) == 9
