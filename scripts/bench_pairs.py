@@ -8,7 +8,10 @@ each checkout as ``COMMAND --workload NAME --seed S --seconds RUN_SECONDS
 --trace 0``. The parent runs first on even seeds and the change on odd
 ones, so a drift of the host does not favour one side. RUN_SECONDS and the
 end-to-end metrics, each with its ``better`` direction and its relative
-``bound``, are read from CHANGE/BENCHMARK.json.
+``bound``, are read from CHANGE/BENCHMARK.json. As each run finishes, one
+line on stderr gives its seed, its side and its end-to-end values, such as
+``seed 90 parent wall_s=3.4 ... peak_rss_mb=55.1``, so a metric that
+jumps between two levels shows in the runs and not only in the medians.
 
 Prints one row per end-to-end metric: the two medians, the parent's
 interquartile range (``statistics.quantiles``, method "inclusive"), and how
@@ -77,8 +80,10 @@ def main(argv: list[str] | None = None) -> int:
         for seed in range(first, last + 1):
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
             for side in order:
-                values[side].append(run_once(getattr(args, side), bench["command"], args.workload, seed, bench["run_seconds"]))
-            print(f"seed {seed}: {order[0]} first", file=sys.stderr, flush=True)
+                run = run_once(getattr(args, side), bench["command"], args.workload, seed, bench["run_seconds"])
+                values[side].append(run)
+                shown = " ".join(f"{metric['name']}={run[metric['name']]!r}" for metric in bench["end_to_end"])
+                print(f"seed {seed} {side} {shown}", file=sys.stderr, flush=True)
     except RunFailed as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

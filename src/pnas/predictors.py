@@ -18,11 +18,13 @@ regressor bodies are provided:
 The two share everything but their bodies. ``Predictor`` draws both
 embedding tables, then the body's weights (``_body_params``), then the
 output layer, so every kind lays out its parameters in that order. It
-also holds the one sigmoid head: ``_output`` maps a body's (n, HIDDEN)
+also holds the one sigmoid head: ``_output`` maps a body's (m, HIDDEN)
 last hidden layer to sigmoid(h . w_out + b_out) row by row, and
-``_head`` returns the L1 loss summed over those rows, adds w_out's and
-b_out's gradients and writes dL/dh, where the body's backward pass
-starts.
+``_head`` scores each training target by its row of that layer, read
+through a gather index, returns the L1 loss summed over the targets,
+adds w_out's and b_out's gradients and writes dL/dh, where the body's
+backward pass starts. A row's subgradient is the sum of its targets'
+signs, so rows shared by several cells are run once in training too.
 
 Each kind has one encoder, ``encode(cells)``, and both ``fit`` and
 ``predict`` read what it returns: an ``Encoded``, whose ``groups`` are
@@ -49,12 +51,13 @@ and ``np.unique`` returns the distinct rows and ``inverse``. The key holds
 the cell length too, since each slot's counts sum to it. The one group is
 the distinct rows' slot fractions: counts divided by the cell length, so
 count k of a b-block cell reads k/b correctly rounded. The forward pass
-runs once per distinct row, and the distinct rows are scored in the
-blocks of ``_scores``, so the memory scoring takes stays the same however
-many distinct rows a batch has (that number follows the search's seed; a
-search's peak RSS would follow it too). Training still runs on every
-cell: each epoch gathers the cells' rows through ``inverse`` into a
-workspace matrix. The slot average of embeddings is ``C_slot @ E_slot``,
+runs once per distinct row, in scoring and in training alike. The
+distinct rows are scored in the blocks of ``_scores``, so the memory
+scoring takes stays the same however many distinct rows a batch has (that
+number follows the search's seed; a search's peak RSS would follow it
+too). Training runs its forward and backward passes over all of a batch's
+distinct rows at once, and the head gathers each cell's score through
+``inverse``. The slot average of embeddings is ``C_slot @ E_slot``,
 so the first layer factors through the 19-row vocabulary: its
 pre-activation is ``sum over slots of C_slot @ (E_slot @ W0_slot)``, and
 its backward pass forms ``C_slot.T @ da`` once per slot before reaching
@@ -100,12 +103,13 @@ A predictor keeps its parameters in one flat float64 vector (``flat``);
 ``params`` maps each name to a view of it. ``fit`` allocates the
 gradient vector (laid out the same way), Adam's m and v and two scratch
 vectors once, and Adam makes its passes in place over the whole vector.
-The MLP's training pass writes its activations and (n, h) temporaries
-through ``out=`` into buffers sized once per fit, so an epoch allocates
-only vectors of length n. The LSTM's workspace holds one set of flat
-step-state and backward buffers, sized for the batch's largest length
-group; each group runs in views of their leading elements, so a
-mixed-length batch holds the largest group's states, not their sum.
+The MLP's training pass writes its activations and (m, h) temporaries
+through ``out=`` into buffers sized once per fit by the m distinct rows,
+so an epoch allocates only vectors of length m or n. The LSTM's
+workspace holds one set of flat step-state and backward buffers, sized
+for the batch's largest length group; each group runs in views of their
+leading elements, so a mixed-length batch holds the largest group's
+states, not their sum.
 Only ``fit`` encodes a training batch and allocates its workspace, and it
 hands both to ``loss_and_grads``.
 
@@ -381,15 +385,16 @@ class Predictor:
         """
         return _sigmoid(np.einsum("ij,j->i", h, self.params["w_out"]) + self.params["b_out"][0])
 
-    def _head(self, h: np.ndarray, targets: np.ndarray, n: int, grads: dict, dh: np.ndarray) -> float:
-        """Sum of |p - y| over the rows of `h`, for an L1 loss averaged over `n` cells.
+    def _head(self, h: np.ndarray, rows: np.ndarray, targets: np.ndarray, n: int, grads: dict, dh: np.ndarray) -> float:
+        """Sum of |p - y| over the targets, for an L1 loss averaged over `n` cells; row ``rows[i]`` of `h` scores target i.
 
-        Adds the head's gradients to ``grads["w_out"]`` and ``grads["b_out"]``,
-        and writes dL/dh, the body's backward input, into `dh`.
+        A row's subgradient is the sum of its targets' signs over `n`. Adds
+        the head's gradients to ``grads["w_out"]`` and ``grads["b_out"]``, and
+        writes dL/dh, the body's backward input, into `dh`.
         """
         probs = self._output(h)
-        residual = probs - targets
-        dz = np.sign(residual) / n * probs * (1.0 - probs)
+        residual = probs[rows] - targets
+        dz = np.bincount(rows, np.sign(residual), minlength=len(h)) / n * probs * (1.0 - probs)
         grads["w_out"] += h.T @ dz
         grads["b_out"] += dz.sum()
         np.multiply(dz[:, None], self.params["w_out"], out=dh)
@@ -478,12 +483,11 @@ class MLPPredictor(Predictor):
         }
 
     def _buffers(self, batch: Encoded) -> dict[str, np.ndarray]:
-        n, h = len(batch), HIDDEN
+        m, h = len(batch.groups[0]), HIDDEN
         return {
-            **self._forward_buffers(n),
-            "counts": np.empty((n, SLOT_WIDTH)),
-            "dh": np.empty((n, h)),
-            "da": np.empty((n, h)),
+            **self._forward_buffers(m),
+            "dh": np.empty((m, h)),
+            "da": np.empty((m, h)),
             "d_counts": np.empty((SLOT_WIDTH, h)),
             "d_embed": np.empty((max(SLOT_VOCABS), EMBED_DIM)),
         }
@@ -514,19 +518,18 @@ class MLPPredictor(Predictor):
         return self._forward(counts)[-1]
 
     def loss_and_grads(self, batch: Encoded, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
-        """L1 loss and its gradients; (n, h) temporaries go into the workspace through ``out=``.
+        """L1 loss and its gradients over the batch's distinct rows; (m, h) temporaries go into the workspace through ``out=``.
 
-        Each cell's row of slot fractions is gathered from the distinct rows;
-        ``inverse`` is in range by construction, and mode="clip" spares
-        np.take a buffered copy.
+        The passes run once per distinct row, and the head reads each cell's
+        score through ``inverse``, so a row's gradient sums its cells' signs.
         """
-        counts = np.take(batch.groups[0], batch.inverse, axis=0, out=work.counts, mode="clip")
+        counts = batch.groups[0]
         hidden = self._forward(counts, work)
         grads, p = work.grads, self.params
         dh, da = work.dh, work.da
         grads["w_out"].fill(0.0)
         grads["b_out"].fill(0.0)
-        loss = self._head(hidden[-1], targets, len(counts), grads, dh) / len(counts)
+        loss = self._head(hidden[-1], batch.inverse, targets, len(batch), grads, dh) / len(batch)
         for layer in reversed(range(MLP_LAYERS)):
             # da = dh * (1 - hidden^2)
             np.multiply(hidden[layer], hidden[layer], out=da)
@@ -691,7 +694,7 @@ class RNNPredictor(Predictor):
             vocab_rows = tokens + STEP_ROWS[:steps]
             h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, work)
             dh, dc, s1, s2 = (buf[: m * hd].reshape(m, hd) for buf in (work.dh, work.dc, work.s1, work.s2))
-            loss += self._head(h_last, group_targets, n, grads, dh)
+            loss += self._head(h_last, np.arange(m), group_targets, n, grads, dh)
             lead = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
             lead_i, lead_f, lead_g, lead_o = (lead[:, j * hd : (j + 1) * hd] for j in range(4))
             dc.fill(0.0)

@@ -25,6 +25,7 @@ from pnas.predictors import (
     SLOT_OFFSETS,
     SLOT_VOCABS,
     STEP_ROWS,
+    Encoded,
     Ensemble,
     MLPPredictor,
     Predictor,
@@ -229,6 +230,45 @@ def test_mlp_scores_at_score_rows_equal_a_single_pass(monkeypatch):
     blocked = model.predict(batch)
     monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 1 << 30)
     assert np.array_equal(blocked.view(np.int64), model.predict(batch).view(np.int64))
+
+
+def test_mlp_trains_on_distinct_rows_like_on_every_cell():
+    rng = np.random.default_rng(14)
+    cells = colliding_cells(rng)
+    model = MLPPredictor(6)
+    model.fit(*train_batch(n=40, b=3), level=1)
+    # each cell's target sits just above or below its score, so a repeated row's signs can cancel
+    above = rng.random(len(cells)) < 0.5
+    targets = model.predict(cells) + np.where(above, 0.05, -0.05)
+    batch = model.encode(cells)
+    rows, inverse = batch.groups[0], batch.inverse
+    assert len(rows) < len(cells)
+    n_above = np.bincount(inverse, above)
+    assert np.any((n_above > 0) & (n_above < np.bincount(inverse)))
+    per_cell = Encoded((rows[inverse],), np.arange(len(cells)))
+    loss, grads = model.loss_and_grads(batch, targets, model._workspace(batch))
+    want_loss, want = model.loss_and_grads(per_cell, targets, model._workspace(per_cell))
+    assert abs(loss - want_loss) < 1e-12
+    for key, grad in grads.items():
+        assert np.max(np.abs(grad - want[key])) < 1e-12, key
+
+
+def test_mlp_fit_forwards_each_distinct_row_once(monkeypatch, small):
+    rng = np.random.default_rng(15)
+    cells = colliding_cells(rng)
+    n_distinct = len(MLPPredictor.encode(cells).groups[0])
+    assert n_distinct < len(cells)
+    reached = []  # rows of each training forward pass
+    forward = MLPPredictor._forward
+
+    def counted(self, counts, work=None):
+        if work is not None:
+            reached.append(len(counts))
+        return forward(self, counts, work)
+
+    monkeypatch.setattr(MLPPredictor, "_forward", counted)
+    history = MLPPredictor(7).fit(cells, rng.uniform(0.6, 0.95, size=len(cells)), level=2)
+    assert reached == [n_distinct] * len(history)
 
 
 def test_free_cpus_count_usable_cpus_when_blas_is_pinned(monkeypatch):

@@ -122,6 +122,11 @@ def test_bench_pairs_alternates_and_compares_canned_results(tmp_path):
         "peak_rss_mb parent 100.0 change 110.0 parent_iqr 0.0 won 0 lost 4 worse beyond bound",
         "top25_acc parent 0.9 change 0.95 parent_iqr 0.0 won 4 lost 0",
     ]
+    # one stderr line per run, in run order, with its end-to-end values
+    runs = [line for line in result.stderr.splitlines() if line.startswith("seed ")]
+    assert [run.split()[:3] for run in runs] == [["seed", *call.split()[1::-1]] for call in calls]
+    assert runs[0] == "seed 90 parent wall_s=10 cpu_s=5.0 peak_rss_mb=100.0 top25_acc=0.9"
+    assert runs[6] == "seed 93 change wall_s=32 cpu_s=5.0 peak_rss_mb=110.0 top25_acc=0.95"
 
     (tmp_path / "change" / "perfbench" / "run.py").write_text(BENCH_STUB.replace("CORRECT", "False"))
     result = pairs()
