@@ -55,14 +55,18 @@ runs once per distinct row, in scoring and in training alike. The
 distinct rows are scored in the blocks of ``_scores``, so the memory
 scoring takes stays the same however many distinct rows a batch has (that
 number follows the search's seed; a search's peak RSS would follow it
-too). Training runs its forward and backward passes over all of a batch's
-distinct rows at once, and the head gathers each cell's score through
-``inverse``. The slot average of embeddings is ``C_slot @ E_slot``,
-so the first layer factors through the 19-row vocabulary: its
-pre-activation is ``sum over slots of C_slot @ (E_slot @ W0_slot)``, and
-its backward pass forms ``C_slot.T @ da`` once per slot before reaching
-``W0_slot`` and ``E_slot``. ``fit`` encodes its batch once, not once per
-epoch.
+too). A scoring pass sizes its activations for a power-of-two number of
+rows, so blocks of 2,049 to 4,096 rows all ask for one size and each
+reuses the memory the last one freed; a block longer than any before it
+would otherwise take fresh memory on top of the heap, and a search's
+peak RSS would jump by seed. Training runs its forward and backward
+passes over all of a batch's distinct rows at once, and the head gathers
+each cell's score through ``inverse``. The slot average of embeddings is
+``C_slot @ E_slot``, so the first layer factors through the 19-row
+vocabulary: its pre-activation is
+``sum over slots of C_slot @ (E_slot @ W0_slot)``, and its backward pass
+forms ``C_slot.T @ da`` once per slot before reaching ``W0_slot`` and
+``E_slot``. ``fit`` encodes its batch once, not once per epoch.
 
 The LSTM encodes a batch into a ``TokenBatch``, an ``Encoded`` with one
 group per cell length b in ascending order: the (m, 4b) token ids of the
@@ -497,12 +501,13 @@ class MLPPredictor(Predictor):
 
         The first layer runs through the vocabulary: each slot's table is
         projected by its rows of w0, and the counts pick up the projections.
-        Activations go into `work` (a training workspace) when it is given.
+        Activations go into `work` (a training workspace) when it is given,
+        else into the leading rows of buffers sized for a power of two rows.
         """
         p = self.params
         if work is None:
-            work = SimpleNamespace(**self._forward_buffers(len(counts)))
-        projected, hidden = work.projected, work.hidden
+            work = SimpleNamespace(**self._forward_buffers(1 << (len(counts) - 1).bit_length()))
+        projected, hidden = work.projected, work.hidden[:, : len(counts)]
         for table, rows, columns in self._slot_weights():
             np.matmul(p[table], p["w0"][rows], out=projected[columns])
         np.matmul(counts, projected, out=hidden[0])

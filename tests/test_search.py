@@ -204,6 +204,31 @@ def test_uint8_children_score_like_int64_ones(kind, shrink):
         assert np.array_equal(scores.view(np.int64), surrogate.predict(wide).view(np.int64))
 
 
+def test_parents_with_equal_slot_contents_share_a_chunk():
+    # 0 and 2 hold the same ids in each slot, spread over other blocks, and so do 1 and 3
+    parents = np.asarray(
+        [
+            [(0, 1, 2, 5), (1, 0, 7, 3)],
+            [(0, 0, 1, 1), (1, 2, 4, 6)],
+            [(0, 1, 7, 5), (1, 0, 2, 3)],
+            [(0, 0, 4, 1), (1, 2, 1, 6)],
+        ]
+    )
+    blocks = np.asarray(canonical_blocks(3))
+    chunks = []  # the parents of each chunk, as indices into `parents`
+
+    class Spy:
+        def predict(self, cells):
+            firsts = cells[:: len(blocks), :-1]
+            chunks.append([i for i, parent in enumerate(parents) for first in firsts if np.array_equal(parent, first)])
+            return few_score(cells)
+
+    scores = score_children(Spy(), parents, blocks, 2 * len(blocks))
+    assert sorted(chunks) == [[0, 2], [1, 3]]
+    children = [parent.tolist() + [block] for parent in parents for block in blocks.tolist()]
+    assert np.array_equal(scores, few_score(np.asarray(children)))
+
+
 @pytest.mark.parametrize("kind", ["mlp", "rnn", "mlp-ens"])
 def test_learned_scores_do_not_depend_on_the_chunk_size(kind, shrink):
     if kind == "rnn":
