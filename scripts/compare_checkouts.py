@@ -37,6 +37,8 @@ COMMANDS = (
     *(HARNESS_LSTM + ["--seed", str(seed)] for seed in range(2)),
     ["search", "-B", "3", "-K", "16", "--predictor", "rnn", "--seed", "0"],
     ["search", "-B", "3", "-K", "16", "--predictor", "rnn-ens", "--seed", "1"],
+    # its level-3 refit trains on 1-, 2- and 3-block groups, so the LSTM's buffers grow mid-pass
+    ["search", "-B", "4", "-K", "64", "--predictor", "rnn", "--seed", "2"],
     ["search", "-B", "4", "-K", "32", "--predictor", "mlp", "--seed", "0"],
     ["search", "-B", "5", "-K", "64", "--predictor", "perfect", "--seed", "0"],
     ["search", "--strategy", "random", "-B", "5", "--count", "100", "--evaluator", "external", "--worker-cmd", ECHO_WORKER, "--seed", "0"],

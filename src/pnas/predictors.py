@@ -107,14 +107,16 @@ A predictor keeps its parameters in one flat float64 vector (``flat``);
 ``params`` maps each name to a view of it. ``fit`` allocates the
 gradient vector (laid out the same way), Adam's m and v and two scratch
 vectors once, and Adam makes its passes in place over the whole vector.
-The MLP's training pass writes its activations and (m, h) temporaries
-through ``out=`` into buffers sized once per fit by the m distinct rows,
-so an epoch allocates only vectors of length m or n. The LSTM's
-workspace holds one set of flat step-state and backward buffers, sized
-for the batch's largest length group; each group runs in views of their
-leading elements, so a mixed-length batch holds the largest group's
-states, not their sum.
-Only ``fit`` encodes a training batch and allocates its workspace, and it
+Every scratch array of a pass, in training and in scoring, is asked for
+where it is used, by name and shape, from a ``_Workspace``: each name
+keeps one flat buffer, grown only when a larger shape is asked for, and
+every call views its leading elements. The MLP's training pass writes its
+activations and (m, h) temporaries through ``out=`` into them, so after
+the first pass an epoch allocates only vectors of length m or n. Each of
+the LSTM's length groups runs in views of the same buffers, so after its
+first pass a mixed-length batch holds the largest group's states, not
+their sum.
+Only ``fit`` encodes a training batch and makes its workspace, and it
 hands both to ``loss_and_grads``.
 
 Importing this module pins numpy's BLAS to one thread for the whole
@@ -142,7 +144,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -317,6 +318,32 @@ class _Adam:
         self.params -= step
 
 
+class _Workspace:
+    """Named float64 scratch arrays: ``work(name, *shape)`` views the leading elements of that name's flat buffer.
+
+    A name's buffer is reallocated only when a larger shape is asked for,
+    so a pass asks for each array where it uses it, and a later pass of no
+    larger shapes allocates none. A training workspace also carries the
+    gradient vector ``grad`` and its named views ``grads``. A mixed-length
+    LSTM fit grows its buffers during the first epoch when a later length
+    group needs more step rows than the groups before it, and the previous
+    group's views keep the smaller buffers alive until the next ``_run``
+    returns: the traced peak of a level-2 ``rnn`` fit over 136 one-block
+    cells and 64 each of 2, 3 and 4 blocks rose from 10.5 to 14.5 MiB
+    against buffers sized up front for the largest group.
+    """
+
+    def __init__(self, grad: np.ndarray | None = None, grads: dict | None = None) -> None:
+        self.grad, self.grads = grad, grads
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        if len(self._buffers.get(name, ())) < size:
+            self._buffers[name] = np.empty(size)
+        return self._buffers[name][:size].reshape(shape)
+
+
 class Predictor:
     """Shared parameters, head and fit/predict machinery; subclasses supply the body's weights, forward and backward."""
 
@@ -339,10 +366,10 @@ class Predictor:
             start += size
         return views
 
-    def _workspace(self, batch) -> SimpleNamespace:
-        """What a training pass over an encoded batch writes: the gradient vector, its named views, the temporaries."""
+    def _workspace(self) -> _Workspace:
+        """What a training pass writes: the gradient vector, its named views and the scratch arrays it asks for."""
         grad = np.zeros_like(self.flat)
-        return SimpleNamespace(grad=grad, grads=self._views(grad), **self._buffers(batch))
+        return _Workspace(grad, self._views(grad))
 
     def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         """The embedding tables, the body's weights and the output layer, drawn and laid out in that order."""
@@ -416,15 +443,15 @@ class Predictor:
         return self._scores(batch)[batch.inverse]
 
     def loss_and_grads(self, batch, targets: np.ndarray, work) -> tuple[float, dict[str, np.ndarray]]:
-        """L1 loss over an encoded batch and its gradients, written into `work` (the batch's `_workspace`)."""
+        """L1 loss over an encoded batch and its gradients, written into `work` (a `_workspace()`, reusable across batches)."""
         raise NotImplementedError
 
     def fit(self, cells, accuracies, level: int) -> np.ndarray:
         """Full-batch Adam on L1 loss; returns the per-epoch loss history.
 
         `cells` is encoded once, not per epoch. The gradient vector, Adam's
-        state and the kind's temporaries are allocated once here, and every
-        epoch writes into them.
+        state and the workspace are made once here, and every epoch writes
+        into them.
         """
         targets = np.asarray(accuracies, dtype=float)
         if len(cells) == 0 or targets.shape != (len(cells),):
@@ -437,7 +464,7 @@ class Predictor:
         first = level == 1
         optimizer = _Adam(self.flat, LR_FIRST_LEVEL if first else LR_LATER_LEVELS)
         history = np.empty(EPOCHS_FIRST_LEVEL if first else EPOCHS_LATER_LEVELS)
-        work = self._workspace(batch)
+        work = self._workspace()
         for epoch in range(len(history)):
             history[epoch], _ = self.loss_and_grads(batch, targets, work)
             optimizer.step(work.grad)
@@ -479,35 +506,21 @@ class MLPPredictor(Predictor):
             for s, (table, offset, vocab) in enumerate(zip(tables, SLOT_OFFSETS, SLOT_VOCABS))
         ]
 
-    def _forward_buffers(self, n: int) -> dict[str, np.ndarray]:
-        h = HIDDEN
-        return {
-            "projected": np.empty((SLOT_WIDTH, h)),
-            "hidden": np.empty((MLP_LAYERS, n, h)),
-        }
-
-    def _buffers(self, batch: Encoded) -> dict[str, np.ndarray]:
-        m, h = len(batch.groups[0]), HIDDEN
-        return {
-            **self._forward_buffers(m),
-            "dh": np.empty((m, h)),
-            "da": np.empty((m, h)),
-            "d_counts": np.empty((SLOT_WIDTH, h)),
-            "d_embed": np.empty((max(SLOT_VOCABS), EMBED_DIM)),
-        }
-
     def _forward(self, counts: np.ndarray, work=None) -> np.ndarray:
         """The tanh output of every hidden layer over (n, SLOT_WIDTH) slot fractions, stacked (layers, n, h).
 
         The first layer runs through the vocabulary: each slot's table is
         projected by its rows of w0, and the counts pick up the projections.
         Activations go into `work` (a training workspace) when it is given,
-        else into the leading rows of buffers sized for a power of two rows.
+        else into the leading rows of a fresh workspace's stack sized for a
+        power of two rows.
         """
         p = self.params
+        padded = len(counts)
         if work is None:
-            work = SimpleNamespace(**self._forward_buffers(1 << (len(counts) - 1).bit_length()))
-        projected, hidden = work.projected, work.hidden[:, : len(counts)]
+            work, padded = _Workspace(), 1 << (len(counts) - 1).bit_length()
+        projected = work("projected", SLOT_WIDTH, HIDDEN)
+        hidden = work("hidden", MLP_LAYERS, padded, HIDDEN)[:, : len(counts)]
         for table, rows, columns in self._slot_weights():
             np.matmul(p[table], p["w0"][rows], out=projected[columns])
         np.matmul(counts, projected, out=hidden[0])
@@ -531,7 +544,7 @@ class MLPPredictor(Predictor):
         counts = batch.groups[0]
         hidden = self._forward(counts, work)
         grads, p = work.grads, self.params
-        dh, da = work.dh, work.da
+        dh, da = work("dh", len(counts), HIDDEN), work("da", len(counts), HIDDEN)
         grads["w_out"].fill(0.0)
         grads["b_out"].fill(0.0)
         loss = self._head(hidden[-1], batch.inverse, targets, len(batch), grads, dh) / len(batch)
@@ -544,12 +557,12 @@ class MLPPredictor(Predictor):
             if layer:
                 np.matmul(hidden[layer - 1].T, da, out=grads[f"w{layer}"])
                 np.matmul(da, p[f"w{layer}"].T, out=dh)
-        d_counts = np.matmul(counts.T, da, out=work.d_counts)
+        d_counts = np.matmul(counts.T, da, out=work("d_counts", SLOT_WIDTH, HIDDEN))
         grads["embed_in"].fill(0.0)
         grads["embed_op"].fill(0.0)
         for table, rows, columns in self._slot_weights():
             np.matmul(p[table].T, d_counts[columns], out=grads["w0"][rows])
-            d_embed = np.matmul(d_counts[columns], p["w0"][rows].T, out=work.d_embed[: len(p[table])])
+            d_embed = np.matmul(d_counts[columns], p["w0"][rows].T, out=work("d_embed", len(p[table]), EMBED_DIM))
             grads[table] += d_embed
         return loss, grads
 
@@ -583,42 +596,6 @@ class RNNPredictor(Predictor):
         d = EMBED_DIM
         return self._vocab(self.flat) @ self.params["w"][:d], self.params["w"][d:]
 
-    def _state_buffers(self, rows: int, kept: int, states: int) -> dict[str, np.ndarray]:
-        """Flat buffers for `kept` (step, row) pairs of gates and tanh_c, and `states` of h and c.
-
-        A pass over m rows takes views of their leading elements.
-        ``scratch`` holds (m, 4h) values a step uses and drops: its gathered
-        input term, and in the backward pass each gate's gradient before
-        its activation's derivative.
-        """
-        hd = HIDDEN
-        return {
-            "gates": np.empty(kept * 4 * hd),
-            "tanh_c": np.empty(kept * hd),
-            "h": np.empty(states * hd),
-            "c": np.empty(states * hd),
-            "scratch": np.empty(rows * 4 * hd),
-        }
-
-    def _buffers(self, batch: TokenBatch) -> dict[str, np.ndarray]:
-        """One training pass's buffers, sized for the batch's largest length group.
-
-        Every group works in views of their leading elements, so a
-        mixed-length batch holds the largest group's states, not their sum.
-        """
-        hd = HIDDEN
-        rows = max(len(tokens) for tokens in batch.groups)
-        kept = max(tokens.size for tokens in batch.groups)
-        states = max(tokens.size + len(tokens) for tokens in batch.groups)
-        return {
-            **self._state_buffers(rows, kept, states),
-            **{name: np.empty(rows * hd) for name in ("dh", "dc", "s1", "s2")},
-            "onehot": np.empty(len(STEP_VOCAB) * kept),
-            "d_wh": np.empty((hd, 4 * hd)),
-            "d_proj": np.empty((len(STEP_VOCAB), 4 * hd)),
-            "d_part": np.empty((len(STEP_VOCAB), 4 * hd)),
-        }
-
     def _run(self, vocab_rows: np.ndarray, projections, work=None):
         """Final hidden state over equal-length cells, given as (m, 4b) vocabulary rows, and the states.
 
@@ -626,9 +603,11 @@ class RNNPredictor(Predictor):
         training workspace `work`, every step's states are kept: ``gates[t]``
         (activated i, f, g, o), ``tanh_c[t]``, and ``h[t]``, ``c[t]``, the
         state step t starts from (``h[4b]`` is the final one). Without one,
-        fresh buffers hold one step, and h and c are updated in place, so
-        memory does not grow with the cell length. Every step writes
-        through ``out=`` and allocates nothing.
+        a fresh workspace holds one step, and h and c are updated in place,
+        so memory does not grow with the cell length. ``scratch`` holds
+        (m, 4h) values a step uses and drops: its gathered input term, and
+        in the backward pass each gate's gradient before its activation's
+        derivative. Every step writes through ``out=`` and allocates nothing.
         """
         proj, wh = projections
         hd = HIDDEN
@@ -638,12 +617,10 @@ class RNNPredictor(Predictor):
         scale = np.repeat([0.5, 0.5, 1.0, 0.5], hd)
         shift = np.repeat([0.5, 0.5, 0.0, 0.5], hd)
         if work is None:
-            work = SimpleNamespace(**self._state_buffers(m, m, m))
-        gates = work.gates[: kept * m * 4 * hd].reshape(kept, m, 4 * hd)
-        tanh_c = work.tanh_c[: kept * m * hd].reshape(kept, m, hd)
-        h = work.h[: depth * m * hd].reshape(depth, m, hd)
-        c = work.c[: depth * m * hd].reshape(depth, m, hd)
-        scratch = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
+            work = _Workspace()
+        gates, tanh_c = work("gates", kept, m, 4 * hd), work("tanh_c", kept, m, hd)
+        h, c = work("h", depth, m, hd), work("c", depth, m, hd)
+        scratch = work("scratch", m, 4 * hd)
         h[0] = 0.0
         c[0] = 0.0
         # the rows were range-checked at encoding, and mode="clip" spares np.take a buffered copy
@@ -688,7 +665,7 @@ class RNNPredictor(Predictor):
         proj, wh = projections
         work.grad.fill(0.0)
         grads = work.grads
-        d_proj = work.d_proj
+        d_proj = work("d_proj", len(STEP_VOCAB), 4 * hd)
         d_proj.fill(0.0)
         loss = 0.0
         ordered = np.empty(n)  # the targets in encoded order, split by group below
@@ -698,9 +675,9 @@ class RNNPredictor(Predictor):
             m, steps = tokens.shape
             vocab_rows = tokens + STEP_ROWS[:steps]
             h_last, (gates, tanh_c, h, c) = self._run(vocab_rows, projections, work)
-            dh, dc, s1, s2 = (buf[: m * hd].reshape(m, hd) for buf in (work.dh, work.dc, work.s1, work.s2))
+            dh, dc, s1, s2 = (work(name, m, hd) for name in ("dh", "dc", "s1", "s2"))
             loss += self._head(h_last, np.arange(m), group_targets, n, grads, dh)
-            lead = work.scratch[: m * 4 * hd].reshape(m, 4 * hd)
+            lead = work("scratch", m, 4 * hd)
             lead_i, lead_f, lead_g, lead_o = (lead[:, j * hd : (j + 1) * hd] for j in range(4))
             dc.fill(0.0)
             for t in reversed(range(steps)):
@@ -729,11 +706,11 @@ class RNNPredictor(Predictor):
                     np.matmul(a, wh.T, out=dh)
             da = gates.reshape(steps * m, 4 * hd)
             # step 0 starts from h = 0, so it adds nothing to W_h's gradient
-            grads["w"][d:] += np.matmul(h[1:steps].reshape(-1, hd).T, da[m:], out=work.d_wh)
+            grads["w"][d:] += np.matmul(h[1:steps].reshape(-1, hd).T, da[m:], out=work("d_wh", hd, 4 * hd))
             grads["b"] += da.sum(axis=0)
-            onehot = work.onehot[: len(proj) * steps * m].reshape(len(proj), steps * m)
+            onehot = work("onehot", len(proj), steps * m)
             np.equal(STEP_VOCAB[:, None], vocab_rows.T.reshape(-1), out=onehot)
-            d_proj += np.matmul(onehot, da, out=work.d_part)
+            d_proj += np.matmul(onehot, da, out=work("d_part", len(STEP_VOCAB), 4 * hd))
         grads["w"][:d] = self._vocab(self.flat).T @ d_proj
         np.matmul(d_proj, p["w"][:d].T, out=self._vocab(work.grad))
         return loss / n, grads
@@ -925,7 +902,7 @@ def gradient_check(model: Predictor, cell: CellSpec, target: float, step: float 
             "finite differences would straddle the L1 kink"
         )
     batch = model.encode([cell])
-    _, grads = model.loss_and_grads(batch, targets, model._workspace(batch))
+    _, grads = model.loss_and_grads(batch, targets, model._workspace())
 
     def loss_at() -> float:
         return float(np.abs(model.predict([cell])[0] - target))

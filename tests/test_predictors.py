@@ -5,6 +5,7 @@ import decimal
 import multiprocessing
 import os
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ from pnas.predictors import (
     Predictor,
     RNNPredictor,
     _Adam,
+    _Workspace,
     _free_cpus,
     _pin_blas,
     _sigmoid,
@@ -246,8 +248,8 @@ def test_mlp_trains_on_distinct_rows_like_on_every_cell():
     n_above = np.bincount(inverse, above)
     assert np.any((n_above > 0) & (n_above < np.bincount(inverse)))
     per_cell = Encoded((rows[inverse],), np.arange(len(cells)))
-    loss, grads = model.loss_and_grads(batch, targets, model._workspace(batch))
-    want_loss, want = model.loss_and_grads(per_cell, targets, model._workspace(per_cell))
+    loss, grads = model.loss_and_grads(batch, targets, model._workspace())
+    want_loss, want = model.loss_and_grads(per_cell, targets, model._workspace())
     assert abs(loss - want_loss) < 1e-12
     for key, grad in grads.items():
         assert np.max(np.abs(grad - want[key])) < 1e-12, key
@@ -411,7 +413,7 @@ def test_lstm_step_activates_gates_like_sigmoid_and_tanh(small):
     [tokens] = batch.groups
     vocab_rows = tokens + STEP_ROWS[: tokens.shape[1]]
     proj, wh = projections = model._projections()
-    _, (gates, _, h, _) = model._run(vocab_rows, projections, model._workspace(batch))
+    _, (gates, _, h, _) = model._run(vocab_rows, projections, model._workspace())
     hd = model.params["w_out"].size  # HIDDEN as the fixture shrank it
     for t in range(tokens.shape[1]):
         pre = h[t] @ wh + proj[vocab_rows[:, t]] if t else proj[vocab_rows[:, t]].copy()
@@ -428,15 +430,50 @@ def test_lstm_workspace_reused_across_length_mixes(small):
     targets = rng.uniform(0.3, 0.95, size=5)
     model = new_predictor("rnn", 4)
     model.fit(first + second, targets, level=1)  # move every weight off its initial value
-    work = model._workspace(RNNPredictor.encode(first))
+    work = model._workspace()
     for cells, target in ((first, targets[:3]), (second, targets[3:]), (first, targets[:3])):
         batch = RNNPredictor.encode(cells)
         loss, grads = model.loss_and_grads(batch, target, work)
         grads = {key: value.copy() for key, value in grads.items()}
-        fresh_loss, fresh_grads = model.loss_and_grads(batch, target, model._workspace(batch))
+        fresh_loss, fresh_grads = model.loss_and_grads(batch, target, model._workspace())
         assert loss == fresh_loss
         for key in fresh_grads:
             assert np.array_equal(grads[key], fresh_grads[key]), key
+
+
+def test_workspace_views_one_buffer_per_name():
+    work = _Workspace()
+    large = work("a", 4, 6)
+    assert large.shape == (4, 6) and large.dtype == np.float64
+    small = work("a", 2, 3)
+    assert small.shape == (2, 3) and np.shares_memory(small, large)
+    other = work("b", 2, 3)
+    assert not np.shares_memory(other, large)
+    larger = work("a", 5, 6)
+    assert larger.shape == (5, 6) and not np.shares_memory(larger, large)
+    assert np.shares_memory(work("a", 1), larger)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "rnn"])
+def test_training_pass_allocates_nothing_batch_sized_after_the_first(kind):
+    """Once a workspace has run a batch, a second pass over it allocates only vectors of length m or n."""
+    rng = np.random.default_rng(17)
+    model = new_predictor(kind, 6)
+    peaks = []
+    for n in (200, 800):
+        # lengths 1-5, so the LSTM's later length groups grow its buffers during the first pass
+        cells = [random_cell(1 + i % 5, rng) for i in range(n)]
+        batch, targets = model.encode(cells), rng.uniform(0.6, 0.95, size=n)
+        work = model._workspace()
+        model.loss_and_grads(batch, targets, work)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(batch, targets, work)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one (m, HIDDEN) float64 array would add 8 * HIDDEN = 800 bytes per cell
+    assert (peaks[1] - peaks[0]) / 600 < 100
 
 
 def unfactored_lstm(model, cells, targets):
@@ -488,7 +525,7 @@ def test_factored_lstm_matches_unfactored_reference(small):
     model.fit(cells, targets, level=1)  # move every weight off its initial value
     probs, loss, grads = unfactored_lstm(model, cells, targets)
     batch = RNNPredictor.encode(cells)
-    got_loss, got_grads = model.loss_and_grads(batch, targets, model._workspace(batch))
+    got_loss, got_grads = model.loss_and_grads(batch, targets, model._workspace())
     assert np.max(np.abs(model.predict(cells) - probs)) < 1e-12
     assert abs(got_loss - loss) < 1e-12
     assert got_grads.keys() == grads.keys()
