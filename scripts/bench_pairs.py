@@ -17,7 +17,10 @@ Prints one row per end-to-end metric: the two medians, the parent's
 interquartile range (``statistics.quantiles``, method "inclusive"), and how
 many pairs the change won and lost, a tie counting for neither. The row
 ends in "worse beyond bound" when the change's median is worse than the
-parent's by more than the bound times the parent's median. Exits 1 as soon
+parent's by more than the bound times the parent's median, and in "gain"
+when the change won at least nine tenths of the pairs and its median is
+better than the parent's by more than the parent's interquartile range:
+the rule a claimed gain is held to. Exits 1 as soon
 as a run's last line is not a result, or a run is not correct or failed
 any evaluation, and 0 otherwise. Uses the standard library only.
 """
@@ -52,16 +55,16 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
 
 
 def summary_row(metric: dict, parent: list[float], change: list[float]) -> str:
-    """Medians, the parent's IQR, the pairs won and lost, and whether the change is worse beyond the bound."""
+    """Medians, the parent's IQR, the pairs won and lost, and whether the change is worse beyond the bound or a gain."""
     sign = 1 if metric["better"] == "lower" else -1  # sign * (change - parent) > 0: the change is worse
     worse = [sign * (c - p) for p, c in zip(parent, change)]
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, method="inclusive") if len(parent) > 1 else (p_med,) * 3
-    row = (
-        f"{metric['name']} parent {p_med!r} change {c_med!r} parent_iqr {q3 - q1!r}"
-        f" won {sum(w < 0 for w in worse)} lost {sum(w > 0 for w in worse)}"
-    )
-    return row + (" worse beyond bound" if sign * (c_med - p_med) > metric["bound"] * abs(p_med) else "")
+    won, shift = sum(w < 0 for w in worse), sign * (c_med - p_med)
+    row = f"{metric['name']} parent {p_med!r} change {c_med!r} parent_iqr {q3 - q1!r} won {won} lost {sum(w > 0 for w in worse)}"
+    if shift > metric["bound"] * abs(p_med):
+        return row + " worse beyond bound"
+    return row + (" gain" if 10 * won >= 9 * len(worse) and -shift > q3 - q1 else "")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,6 +41,8 @@ COMMANDS = (
     ["search", "-B", "4", "-K", "64", "--predictor", "rnn", "--seed", "2"],
     ["search", "-B", "4", "-K", "32", "--predictor", "mlp", "--seed", "0"],
     ["search", "-B", "5", "-K", "64", "--predictor", "perfect", "--seed", "0"],
+    # the default search: the paper's beam, B=5 and K=256 with mlp-ens
+    ["search", "--sigma", "0.01", "--seed", "0"],
     ["search", "--strategy", "random", "-B", "5", "--count", "100", "--evaluator", "external", "--worker-cmd", ECHO_WORKER, "--seed", "0"],
 )
 

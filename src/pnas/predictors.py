@@ -55,11 +55,9 @@ runs once per distinct row, in scoring and in training alike. The
 distinct rows are scored in the blocks of ``_scores``, so the memory
 scoring takes stays the same however many distinct rows a batch has (that
 number follows the search's seed; a search's peak RSS would follow it
-too). A scoring pass sizes its activations for a power-of-two number of
-rows, so blocks of 2,049 to 4,096 rows all ask for one size and each
-reuses the memory the last one freed; a block longer than any before it
-would otherwise take fresh memory on top of the heap, and a search's
-peak RSS would jump by seed. Training runs its forward and backward
+too). At ``SCORE_ROWS`` (1,024) rows a block's activations take 1.6 MB,
+too little to set a search's peak, so a scoring pass sizes them at its
+own block, as training does. Training runs its forward and backward
 passes over all of a batch's distinct rows at once, and the head gathers
 each cell's score through ``inverse``. The slot average of embeddings is
 ``C_slot @ E_slot``, so the first layer factors through the 19-row
@@ -153,7 +151,7 @@ from .seeding import derive_seed
 INPUT_VOCAB = B_MAX + 1  # input ids 0 .. B_MAX cover blocks of every level
 OP_VOCAB = len(Operator)
 ENSEMBLE_SIZE = 5
-SCORE_ROWS = 4096  # rows per forward pass when scoring
+SCORE_ROWS = 1024  # rows per forward pass when scoring
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -512,15 +510,13 @@ class MLPPredictor(Predictor):
         The first layer runs through the vocabulary: each slot's table is
         projected by its rows of w0, and the counts pick up the projections.
         Activations go into `work` (a training workspace) when it is given,
-        else into the leading rows of a fresh workspace's stack sized for a
-        power of two rows.
+        else into a fresh workspace sized for this pass's rows.
         """
         p = self.params
-        padded = len(counts)
         if work is None:
-            work, padded = _Workspace(), 1 << (len(counts) - 1).bit_length()
+            work = _Workspace()
         projected = work("projected", SLOT_WIDTH, HIDDEN)
-        hidden = work("hidden", MLP_LAYERS, padded, HIDDEN)[:, : len(counts)]
+        hidden = work("hidden", MLP_LAYERS, len(counts), HIDDEN)
         for table, rows, columns in self._slot_weights():
             np.matmul(p[table], p["w0"][rows], out=projected[columns])
         np.matmul(counts, projected, out=hidden[0])

@@ -222,7 +222,7 @@ def test_scoring_forwards_score_rows_at_a_time(monkeypatch, shrink):
 
 
 def test_mlp_scores_at_score_rows_equal_a_single_pass(monkeypatch):
-    # 4,246 distinct rows: one block of 4,096 and a 150-row tail would take other kernels than a single pass
+    # 4,246 distinct rows: four blocks of 1,024 and a 150-row tail would take other kernels than a single pass
     cells = one_block_cells()
     model = MLPPredictor(4)
     model.fit(cells, [SyntheticOracle().score(cell) for cell in cells], level=1)
@@ -232,6 +232,30 @@ def test_mlp_scores_at_score_rows_equal_a_single_pass(monkeypatch):
     blocked = model.predict(batch)
     monkeypatch.setattr("pnas.predictors.SCORE_ROWS", 1 << 30)
     assert np.array_equal(blocked.view(np.int64), model.predict(batch).view(np.int64))
+
+
+def traced_peak(model, batch) -> int:
+    """The tracemalloc peak, in bytes, of scoring an already encoded batch."""
+    tracemalloc.start()
+    try:
+        model.predict(batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_holds_one_block_not_the_batch():
+    """At full width, scoring a long encoded batch holds one block's activations, not the batch's."""
+    rng = np.random.default_rng(18)
+    rows = MLPPredictor.encode([random_cell(5, rng) for _ in range(21000)]).groups[0]
+    assert len(rows) >= 20000
+    mlp = MLPPredictor(7)
+    peaks = [traced_peak(mlp, Encoded((rows[:n],), np.arange(n))) for n in (5000, 20000)]
+    # the two (n, HIDDEN) float64 layers take 1.6 MB in a block of 1,024 rows, and 6.5 MB in one of 4,096
+    assert peaks[1] < 2.5e6 and peaks[1] - peaks[0] < 0.5e6
+    lstm = RNNPredictor(7)
+    # 3,000 five-block cells, one length group: scored in a single block they peak at 27 MB
+    assert traced_peak(lstm, RNNPredictor.encode(np.asarray([random_cell(5, rng) for _ in range(3000)]))) < 10e6
 
 
 def test_mlp_trains_on_distinct_rows_like_on_every_cell():

@@ -115,12 +115,13 @@ def test_bench_pairs_alternates_and_compares_canned_results(tmp_path):
     ]
     assert calls[0].split()[2:] == ["--workload", "w", "--seed", "90", "--seconds", "7", "--trace", "0"]
     # parent wall_s 10-13, change 9, 10, 11 and 32: quartiles 10.75 and 12.25 by the inclusive method
+    # wall_s won 3 of 4, short of nine tenths, so only top25_acc (4 of 4, by more than its IQR of 0) is a gain
     assert result.stdout.splitlines() == [
         "workload w pairs 4 seeds 90-93",
         "wall_s parent 11.5 change 10.5 parent_iqr 1.5 won 3 lost 1",
         "cpu_s parent 5.0 change 5.0 parent_iqr 0.0 won 0 lost 0",
         "peak_rss_mb parent 100.0 change 110.0 parent_iqr 0.0 won 0 lost 4 worse beyond bound",
-        "top25_acc parent 0.9 change 0.95 parent_iqr 0.0 won 4 lost 0",
+        "top25_acc parent 0.9 change 0.95 parent_iqr 0.0 won 4 lost 0 gain",
     ]
     # one stderr line per run, in run order, with its end-to-end values
     runs = [line for line in result.stderr.splitlines() if line.startswith("seed ")]
@@ -168,7 +169,7 @@ def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
     same = compare("parent", "parent")
     assert same.returncode == 0, same.stdout + same.stderr
     commands = same.stdout.splitlines()
-    assert len(commands) == 12 and all(row.startswith("identical pnas ") for row in commands)
+    assert len(commands) == 13 and all(row.startswith("identical pnas ") for row in commands)
     assert "identical pnas search -B 5 -K 64 --predictor mlp-ens --sigma 0.01 --seed 3" in commands
     assert any(row.endswith("--worker-cmd 'python3 scripts/echo_worker.py --sigma 0.01' --seed 0") for row in commands)
 
@@ -182,4 +183,4 @@ def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
     ]
     assert rows[differs[0] + 1 : differs[0] + 3] == ["  differs trace.jsonl", "    stub: 1 of 1 events differ"]
     assert rows[differs[1] + 1] == "  change exited 2: stub error"
-    assert sum(row.startswith("identical pnas ") for row in rows) == 10
+    assert sum(row.startswith("identical pnas ") for row in rows) == 11
