@@ -4,7 +4,8 @@
 
 PARENT and CHANGE are source checkouts. Each command of COMMANDS runs as
 ``python -m pnas ARGS --out DIR`` from the root of each checkout, with
-``PYTHONPATH=CHECKOUT/src`` and DIR a fresh temporary directory. A command
+``PYTHONPATH=CHECKOUT/src`` and DIR a fresh temporary directory; a
+``build``, which writes one file, gets ``--out DIR/graph.json``. A command
 is "identical" when it exits 0 on both sides, prints the same stdout apart
 from its ``out`` line, and leaves run directories that ``compare`` of
 compare_runs.py finds identical. Prints one "identical CMD" or "differs
@@ -44,11 +45,17 @@ COMMANDS = (
     # the default search: the paper's beam, B=5 and K=256 with mlp-ens
     ["search", "--sigma", "0.01", "--seed", "0"],
     ["search", "--strategy", "random", "-B", "5", "--count", "100", "--evaluator", "external", "--worker-cmd", ECHO_WORKER, "--seed", "0"],
+    # graphs under other plans than the searches' default: PNASNet-5 at N=3, F=48, and an ImageNet-style stem
+    ["build", "--cell", "5|0,1,0,6;1,2,1,6;1,0,1,1;1,0,4,4;0,0,1,4", "-N", "3", "-F", "48"],
+    ["build", "--cell", "3|0,1,0,4;1,7,2,6;2,4,3,3", "--hw", "224", "--stem", "conv3x3_stride2"],
 )
 
 
 def run(checkout: Path, args: list[str], out: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    if args[0] == "build":  # so compare sees the graph in the run directory, not an empty run
+        out.mkdir()
+        out = out / "graph.json"
     argv = [sys.executable, "-m", "pnas", *args, "--out", str(out)]
     return subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
 

@@ -15,8 +15,9 @@ comments, each parsed and checked as its flag would be. A ``ValueError``
 raised while a command checks its settings is a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 evaluator or transport
-error, 3 internal contract violation. ``exit_code`` maps an exception to
-its code, for ``main`` and for the manifest of a failed run alike.
+error, 3 internal contract violation, 143 (128 + 15) terminated by
+SIGTERM. ``exit_code`` maps an exception to its code, for ``main`` and
+for the manifest of a failed run alike.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import fcntl
 import os
 import shlex
+import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -96,10 +98,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def exit_code(exc: BaseException) -> int | None:
-    """The exit code ``main`` returns for an exception: 1 configuration, 2 evaluator, 3 internal.
+    """The exit code ``main`` ends with for an exception: 1 configuration, 2 evaluator, 3 internal.
 
-    None for what ``main`` does not catch (an interrupt, a ``SystemExit``).
+    A ``SystemExit`` with an integer code, such as the one SIGTERM raises,
+    ends the process with that code. None for the rest of what ``main``
+    does not catch (an interrupt).
     """
+    if isinstance(exc, SystemExit) and isinstance(exc.code, int):
+        return exc.code
     if not isinstance(exc, Exception):
         return None
     if isinstance(exc, (ConfigError, CellKeyError, TableParseError)):
@@ -434,6 +440,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # SIGTERM raises SystemExit(143), which unwinds like an error: the manifest reads failed, workers are killed
+    signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,8 @@ Shape rules:
     projected back to F; when a single block is unused and already at F the
     projection is skipped.
 
-Cost model (counted at output spatial positions, stride folded in):
+Cost model (counted at output spatial positions, stride folded in, and
+summed as the builder adds each node):
   * separable kxk expands to two repetitions of ReLU-SepConv-BatchNorm;
     each repetition costs k^2*H*W*C_in depthwise plus H*W*C_in*C_out
     pointwise mult-adds, and k^2*C_in + C_in*C_out + 2*C_out parameters;
@@ -48,7 +49,7 @@ class BuildError(ValueError):
 
 
 class GraphContractError(RuntimeError):
-    """A graph node violates the builder's annotation contract."""
+    """A graph node names an op the cost model does not know."""
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,7 @@ class GraphNode:
     id: int
     op: str
     inputs: tuple[int, ...]
-    shape: tuple[int, int, int] | None  # (H, W, C)
-
-
-@dataclass(frozen=True)
-class NetworkGraph:
-    nodes: tuple[GraphNode, ...]
-    output_node: int
-    cell_outputs: tuple[int, ...]  # node id of each cell's output, in stack order
+    shape: tuple[int, int, int]  # (H, W, C)
 
 
 @dataclass(frozen=True)
@@ -97,19 +91,32 @@ class CostReport:
     mult_adds: int
 
 
+@dataclass(frozen=True)
+class NetworkGraph:
+    nodes: tuple[GraphNode, ...]
+    output_node: int
+    cell_outputs: tuple[int, ...]  # node id of each cell's output, in stack order
+    cost: CostReport  # summed over the nodes
+
+
 class _Builder:
+    """Appends graph nodes and keeps the running total of their costs.
+
+    A node's input channel count is its first input's; a node without
+    inputs has none.
+    """
+
     def __init__(self) -> None:
         self.nodes: list[GraphNode] = []
+        self.params = self.mult_adds = 0
 
     def add(self, op: str, inputs: tuple[int, ...], shape: tuple[int, int, int]) -> int:
-        node = GraphNode(id=len(self.nodes), op=op, inputs=inputs, shape=shape)
-        self.nodes.append(node)
-        return node.id
-
-    def shape(self, node_id: int) -> tuple[int, int, int]:
-        shape = self.nodes[node_id].shape
-        assert shape is not None
-        return shape
+        c_in = self.nodes[inputs[0]].shape[2] if inputs else 0
+        cost = op_cost(op, c_in, shape[2], shape[0], shape[1])
+        self.params += cost.params
+        self.mult_adds += cost.mult_adds
+        self.nodes.append(GraphNode(id=len(self.nodes), op=op, inputs=inputs, shape=shape))
+        return len(self.nodes) - 1
 
 
 def _halve(hw: int) -> int:
@@ -121,22 +128,22 @@ def _halve(hw: int) -> int:
 
 def _emit_op(bld: _Builder, op_id: int, src: int, f_out: int, stride: int, target_hw: int) -> int:
     """One operator application plus, if needed, a trailing 1x1 projection."""
-    h, _w, c_in = bld.shape(src)
+    h, _w, c_in = bld.nodes[src].shape
     # every operator but identity applies the stride; only convolutions set the channel count
     out_hw = _halve(h) if stride == 2 and op_id != Operator.IDENTITY else h
-    node = bld.add(OPERATOR_NAMES[op_id], (src,), (out_hw, out_hw, f_out if op_id in _CONV_OPS else c_in))
-    node_hw = bld.shape(node)[0]
-    if bld.shape(node) != (target_hw, target_hw, f_out):
-        if node_hw not in (target_hw, 2 * target_hw):
-            raise BuildError(f"operator output {node_hw} incompatible with target {target_hw}")
+    c_out = f_out if op_id in _CONV_OPS else c_in
+    node = bld.add(OPERATOR_NAMES[op_id], (src,), (out_hw, out_hw, c_out))
+    if (out_hw, c_out) != (target_hw, f_out):
+        if out_hw not in (target_hw, 2 * target_hw):
+            raise BuildError(f"operator output {out_hw} incompatible with target {target_hw}")
         node = bld.add("conv1x1", (node,), (target_hw, target_hw, f_out))
     return node
 
 
 def _emit_cell(bld: _Builder, cell: CellSpec, prev_prev: int, prev: int, f_out: int, stride: int) -> int:
-    h_in = bld.shape(prev)[0]
+    h_in = bld.nodes[prev].shape[0]
     target_hw = _halve(h_in) if stride == 2 else h_in
-    pp_hw = bld.shape(prev_prev)[0]
+    pp_hw = bld.nodes[prev_prev].shape[0]
     if pp_hw != h_in:
         if pp_hw != 2 * h_in:
             raise BuildError(f"previous-previous input at {pp_hw} cannot feed a cell at {h_in}")
@@ -183,7 +190,8 @@ def build_network(cell: CellSpec, plan: StackPlan) -> NetworkGraph:
             cell_outputs.append(nxt)
     gap = bld.add("global_avg_pool", (prev,), (1, 1, f))
     out = bld.add("softmax", (gap,), (1, 1, plan.num_classes))
-    return NetworkGraph(nodes=tuple(bld.nodes), output_node=out, cell_outputs=tuple(cell_outputs))
+    cost = CostReport(bld.params, bld.mult_adds)
+    return NetworkGraph(nodes=tuple(bld.nodes), output_node=out, cell_outputs=tuple(cell_outputs), cost=cost)
 
 
 _FREE_OPS = {"input", "identity", "add", "concat", "global_avg_pool", "avgpool3x3", "maxpool3x3"}
@@ -212,39 +220,18 @@ def op_cost(op: str, c_in: int, c_out: int, h: int, w: int) -> CostReport:
     raise GraphContractError(f"unknown graph op {op!r}")
 
 
-def count_costs(graph: NetworkGraph) -> CostReport:
-    """Total trainable parameters and multiply-adds of a graph."""
-    params = 0
-    mult_adds = 0
-    for node in graph.nodes:
-        if node.shape is None:
-            raise GraphContractError(f"node {node.id} ({node.op}) lacks a shape annotation")
-        if node.inputs:
-            in_shape = graph.nodes[node.inputs[0]].shape
-            if in_shape is None:
-                raise GraphContractError(f"node {node.inputs[0]} lacks a shape annotation")
-            c_in = in_shape[2]
-        else:
-            c_in = 0
-        cost = op_cost(node.op, c_in, node.shape[2], node.shape[0], node.shape[1])
-        params += cost.params
-        mult_adds += cost.mult_adds
-    return CostReport(params=params, mult_adds=mult_adds)
-
-
 def export_graph(graph: NetworkGraph, cell_key: str, plan: StackPlan) -> dict:
     """JSON-serializable graph dump (schema_version 1) with the cell key and plan it was built from and its total costs."""
-    cost = count_costs(graph)
     return {
         "schema_version": 1,
         "nodes": [
-            {"id": n.id, "op": n.op, "inputs": list(n.inputs), "shape": list(n.shape or ())}
+            {"id": n.id, "op": n.op, "inputs": list(n.inputs), "shape": list(n.shape)}
             for n in graph.nodes
         ],
         "output_node": graph.output_node,
         "cell_outputs": list(graph.cell_outputs),
-        "params": cost.params,
-        "mult_adds": cost.mult_adds,
+        "params": graph.cost.params,
+        "mult_adds": graph.cost.mult_adds,
         "cell_key": cell_key,
         "plan": {**asdict(plan), "input_channels": INPUT_CHANNELS},
     }

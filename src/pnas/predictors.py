@@ -806,7 +806,9 @@ def fork_map(fn, jobs, label: str = "a fork_map worker") -> list:
     inside a worker, so forks never nest. An exception in a worker reaches the caller as
     the same type, with a note naming `label`; a worker that dies raises
     ``RuntimeError`` as soon as its pipe closes, whatever the other workers
-    are doing. Either way the other workers are terminated and joined.
+    are doing. Either way the other workers are killed and joined: SIGKILL,
+    unlike SIGTERM, which they would answer with the handler ``cli.main``
+    installs, ends a worker at once even inside a BLAS call.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _free_cpus())
@@ -842,7 +844,7 @@ def fork_map(fn, jobs, label: str = "a fork_map worker") -> list:
                 shares[w] = share
     except BaseException:
         for proc, _ in started:
-            proc.terminate()
+            proc.kill()
         raise
     finally:
         for proc, receiver in started:

@@ -28,7 +28,7 @@ from pnas.cli import main
 from pnas.evaluators import SyntheticOracle, SyntheticOracleConfig
 from pnas.harness import HarnessConfig, distinct_random_cells, predictor_harness
 from pnas.metrics import spearman, top_m_curve
-from pnas.network import StackPlan, build_network, count_costs, op_cost
+from pnas.network import StackPlan, build_network, op_cost
 from pnas.predictors import ensemble_fit, gradient_check, new_predictor
 from pnas.search import SearchConfig, compute_cost, plan_budget, pnas_search, random_search
 from pnas.traceio import read_trace
@@ -159,7 +159,7 @@ def test_criterion_07_spearman_oracle():
 def test_criterion_08_cost_model():
     with criterion(8, "cost model"):
         cell = parse_cell_key(PNASNET_5_KEY)
-        cost = count_costs(build_network(cell, StackPlan(n=3, f=48)))
+        cost = build_network(cell, StackPlan(n=3, f=48)).cost
         assert abs(cost.params - 3.2e6) / 3.2e6 < 0.20
         assert cost.params == 3336490
         assert op_cost("identity", 24, 24, 32, 32).params == 0

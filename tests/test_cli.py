@@ -7,6 +7,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -692,6 +693,60 @@ def test_run_without_successful_evaluation_exits_2(tmp_path, capsys, argv, evals
     assert_unlocked(out_dir)
 
 
+def processes():
+    """{pid: (parent pid, argv)} of every process this one can see, read from /proc."""
+    table = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                ppid = int((entry / "stat").read_text().rsplit(")", 1)[1].split()[1])
+                argv = (entry / "cmdline").read_bytes().decode().split("\0")[:-1]
+            except (OSError, IndexError):
+                continue  # it exited while being read
+            table[int(entry.name)] = (ppid, argv)
+    return table
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the process table from /proc")
+def test_sigterm_ends_the_run_as_failed_and_kills_its_worker(tmp_path):
+    out_dir = tmp_path / "run"
+    worker_argv = ["sleep", "60"]
+    argv = [
+        sys.executable, "-m", "pnas", "search", "--strategy", "random", "-B", "2", "--count", "3",
+        "--evaluator", "external", "--worker-cmd", shlex.join(worker_argv), "--out", str(out_dir),
+    ]
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        search = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=stderr, env=source_env())
+    workers = []
+
+    def live_workers():
+        table = processes()
+        return [pid for pid in workers if pid in table and table[pid][1] == worker_argv]
+
+    try:
+        deadline = time.monotonic() + 60
+        while not workers:
+            assert search.poll() is None, (tmp_path / "stderr.txt").read_text()
+            assert time.monotonic() < deadline, "the search started no worker"
+            time.sleep(0.05)
+            workers = [pid for pid, (ppid, cmd) in processes().items() if ppid == search.pid and cmd == worker_argv]
+        search.send_signal(signal.SIGTERM)
+        code = search.wait(timeout=10)
+        left = live_workers()
+    finally:
+        if search.poll() is None:
+            search.kill()
+            search.wait()
+        for pid in live_workers():
+            os.kill(pid, signal.SIGKILL)  # do not leave an orphaned worker behind
+    assert code == 143, (tmp_path / "stderr.txt").read_text()
+    assert left == [], "the worker outlived its run"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 143
+    assert manifest["error"]["type"] == "SystemExit"
+    assert_unlocked(out_dir)
+
+
 def test_external_backend_needs_worker_cmd(tmp_path, capsys):
     code, _, err = run(
         capsys, "search", "--evaluator", "external", "--out", str(tmp_path / "x")
@@ -794,6 +849,7 @@ def test_exit_code_is_the_one_main_returns():
     assert exit_code(ConfigError("x")) == exit_code(CellKeyError("x")) == exit_code(TableParseError("x")) == 1
     assert exit_code(EvaluatorError("x")) == exit_code(TableLookupError("x")) == 2
     assert exit_code(RuntimeError("x")) == exit_code(ValueError("x")) == 3
+    assert exit_code(SystemExit(143)) == 143  # SIGTERM, through the handler main installs
     assert exit_code(KeyboardInterrupt()) is None  # main does not catch it
 
 

@@ -2,18 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from pnas.cells import PNASNET_5_KEY, parse_cell_key
+from pnas.cells import PNASNET_5_KEY, parse_cell_key, random_cell
 from pnas.network import (
     BuildError,
     CostReport,
     GraphContractError,
-    GraphNode,
-    NetworkGraph,
     StackPlan,
     build_network,
-    count_costs,
     export_graph,
     op_cost,
 )
@@ -24,7 +22,7 @@ IDENTITY_CELL = parse_cell_key("1|0,4,1,4")
 def test_reference_cell_costs_frozen():
     cell = parse_cell_key(PNASNET_5_KEY)
     graph = build_network(cell, StackPlan(n=3, f=48))
-    cost = count_costs(graph)
+    cost = graph.cost
     assert cost.params == 3336490
     assert cost.mult_adds == 458037120
     # the published figure for this cell at N=3, F=48 is 3.2M parameters
@@ -64,13 +62,13 @@ def test_identity_cell_stage_shapes():
 
 def test_identity_cell_costs_frozen():
     graph = build_network(IDENTITY_CELL, StackPlan(n=1, f=8))
-    cost = count_costs(graph)
+    cost = graph.cost
     assert (cost.params, cost.mult_adds) == (2538, 225600)
 
 
 def test_params_monotone_in_width():
     cell = parse_cell_key(PNASNET_5_KEY)
-    widths = [count_costs(build_network(cell, StackPlan(f=f))).params for f in (8, 16, 32)]
+    widths = [build_network(cell, StackPlan(f=f)).cost.params for f in (8, 16, 32)]
     assert widths[0] < widths[1] < widths[2]
 
 
@@ -118,11 +116,28 @@ def test_export_graph_round_trip():
     assert all(set(n) == {"id", "op", "inputs", "shape"} for n in again["nodes"])
 
 
-def test_count_costs_rejects_missing_shape():
-    bad = NetworkGraph(
-        nodes=(GraphNode(id=0, op="input", inputs=(), shape=None),),
-        output_node=0,
-        cell_outputs=(),
-    )
-    with pytest.raises(GraphContractError, match="lacks a shape annotation"):
-        count_costs(bad)
+def reference_cost(graph):
+    """op_cost summed over the built graph's nodes, each taking its channels from its first input."""
+    params = mult_adds = 0
+    for node in graph.nodes:
+        c_in = graph.nodes[node.inputs[0]].shape[2] if node.inputs else 0
+        cost = op_cost(node.op, c_in, node.shape[2], node.shape[0], node.shape[1])
+        params += cost.params
+        mult_adds += cost.mult_adds
+    return CostReport(params, mult_adds)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [StackPlan(), StackPlan(n=3, f=48), StackPlan(n=1, f=8, input_hw=224, stem="conv3x3_stride2")],
+    ids=["default", "n3-f48", "imagenet-stem"],
+)
+def test_built_cost_is_the_sum_over_the_nodes(plan):
+    rng = np.random.default_rng(31)
+    for b in range(1, 11):
+        for _ in range(5):
+            graph = build_network(random_cell(b, rng), plan)
+            for node in graph.nodes:
+                assert type(node.shape) is tuple and len(node.shape) == 3
+                assert all(type(size) is int for size in node.shape)
+            assert graph.cost == reference_cost(graph)

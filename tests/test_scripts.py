@@ -144,13 +144,14 @@ if os.environ["PYTHONPATH"] != os.path.join(os.getcwd(), "src"):
     sys.exit(3)
 args = sys.argv[1:]
 out = args[args.index("--out") + 1]
-os.makedirs(out)
+if args[0] != "build":  # a build names the file it writes, in a directory that exists
+    os.makedirs(out)
 side = os.path.basename(os.getcwd())
 if side == "change" and "perfect" in args:
     print("stub error", file=sys.stderr)
     sys.exit(2)
 trace = "rnn-ens from change" if side == "change" and "rnn-ens" in args else " ".join(args[: args.index("--out")])
-with open(os.path.join(out, "trace.jsonl"), "w") as fh:
+with open(out if args[0] == "build" else os.path.join(out, "trace.jsonl"), "w") as fh:
     fh.write(json.dumps({"event": "stub", "args": trace}) + "\\n")
 print("best_accuracy 0.9")
 print(f"out {out}")
@@ -169,7 +170,7 @@ def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
     same = compare("parent", "parent")
     assert same.returncode == 0, same.stdout + same.stderr
     commands = same.stdout.splitlines()
-    assert len(commands) == 13 and all(row.startswith("identical pnas ") for row in commands)
+    assert len(commands) == 15 and all(row.startswith("identical pnas ") for row in commands)
     assert "identical pnas search -B 5 -K 64 --predictor mlp-ens --sigma 0.01 --seed 3" in commands
     assert any(row.endswith("--worker-cmd 'python3 scripts/echo_worker.py --sigma 0.01' --seed 0") for row in commands)
 
@@ -183,4 +184,4 @@ def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
     ]
     assert rows[differs[0] + 1 : differs[0] + 3] == ["  differs trace.jsonl", "    stub: 1 of 1 events differ"]
     assert rows[differs[1] + 1] == "  change exited 2: stub error"
-    assert sum(row.startswith("identical pnas ") for row in rows) == 11
+    assert sum(row.startswith("identical pnas ") for row in rows) == 13
