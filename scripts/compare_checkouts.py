@@ -48,6 +48,8 @@ COMMANDS = (
     # graphs under other plans than the searches' default: PNASNet-5 at N=3, F=48, and an ImageNet-style stem
     ["build", "--cell", "5|0,1,0,6;1,2,1,6;1,0,1,1;1,0,4,4;0,0,1,4", "-N", "3", "-F", "48"],
     ["build", "--cell", "3|0,1,0,4;1,7,2,6;2,4,3,3", "--hw", "224", "--stem", "conv3x3_stride2"],
+    # stages at 36, 18 and 9: the only listed build whose last stage has an odd size
+    ["build", "--cell", "3|0,1,0,4;1,7,2,6;2,4,3,3", "--hw", "36", "-N", "1"],
 )
 
 

@@ -441,7 +441,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     # SIGTERM raises SystemExit(143), which unwinds like an error: the manifest reads failed, workers are killed
-    signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
+    previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -451,6 +451,8 @@ def main(argv=None) -> int:
         prefix = {1: "error", 2: "evaluator error", 3: f"internal error: {type(exc).__name__}"}[code]
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
+    finally:
+        signal.signal(signal.SIGTERM, previous)  # an in-process caller gets its own handler back
 
 
 if __name__ == "__main__":

@@ -277,17 +277,14 @@ class ExternalEvaluator:
     def evaluate(self, request: EvalRequest) -> list[EvalRecord]:
         pending: dict[int, str] = dict(enumerate(request.keys))
         answers: dict[int, EvalRecord] = {}
-        attempts = 0
-        while pending:
+        for _ in range(1 + WORKER_RETRIES):
             self._run_batch(request, pending, answers)
-            if pending:
-                attempts += 1
-                if attempts > WORKER_RETRIES:
-                    raise WorkerTransportError(
-                        f"worker {self.worker_cmd[0]!r} left {len(pending)} of {len(request.keys)} "
-                        f"requests unanswered after {WORKER_RETRIES} retries"
-                    )
-        return [answers[i] for i in range(len(request.keys))]
+            if not pending:
+                return [answers[i] for i in range(len(request.keys))]
+        raise WorkerTransportError(
+            f"worker {self.worker_cmd[0]!r} left {len(pending)} of {len(request.keys)} "
+            f"requests unanswered after {WORKER_RETRIES} retries"
+        )
 
     def _run_batch(self, request: EvalRequest, pending: dict[int, str], answers: dict[int, EvalRecord]) -> None:
         lines = [

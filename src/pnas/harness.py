@@ -101,20 +101,19 @@ class CorrelationReport:
 
 
 def distinct_random_cells(count: int, b: int, seed: int) -> list[CellSpec]:
-    """Uniform draws rejected on repeated keys until `count` distinct cells."""
+    """Uniform draws, repeats rejected, until `count` distinct cells, in first-draw order.
+
+    Drawn cells are canonical, so equal cells are equal tuples and serve as
+    their own keys.
+    """
     unique = count_space(b).unique
     if count > unique:
         raise ValueError(f"could not draw {count} distinct cells with {b} blocks; the level holds {unique}")
     rng = np.random.default_rng(seed)
-    cells: list[CellSpec] = []
-    seen: set[str] = set()
+    cells: dict[CellSpec, None] = {}
     while len(cells) < count:
-        cell = random_cell(b, rng)
-        key = cell_key(cell)
-        if key not in seen:
-            seen.add(key)
-            cells.append(cell)
-    return cells
+        cells[random_cell(b, rng)] = None
+    return list(cells)
 
 
 def _measure(evaluator, cells, eval_seed: int) -> np.ndarray:

@@ -10,6 +10,9 @@ filters) in front of the same three-stage body; at the very first cell both
 cell-external inputs alias the stem (or raw image) tensor.
 
 Shape rules:
+  * the cells' input size (``input_hw``, halved by a stem) must be divisible
+    by 4, so that both stride-2 cells halve it exactly; ``StackPlan``
+    rejects any other size;
   * every block output inside a cell has the cell's target shape
     (H/stride, W/stride, F); operators whose raw output mismatches it get a
     trailing 1x1 projection (with stride where needed);
@@ -75,6 +78,9 @@ class StackPlan:
             raise ValueError(f"stem must be one of {STEM_KINDS}, got {self.stem!r}")
         if self.stem == "conv3x3_stride2" and self.input_hw < 64:
             raise ValueError("conv3x3_stride2 stem is for large-image plans (input_hw >= 64)")
+        hw = self.input_hw // 2 if self.stem == "conv3x3_stride2" else self.input_hw
+        if hw % 4:
+            raise ValueError(f"cells need an input size divisible by 4 to halve it twice; input_hw {self.input_hw} gives {hw}")
 
 
 @dataclass(frozen=True)
@@ -119,34 +125,22 @@ class _Builder:
         return len(self.nodes) - 1
 
 
-def _halve(hw: int) -> int:
-    out = hw // 2
-    if out < 1:
-        raise BuildError(f"spatial size underflow: cannot halve H=W={hw}")
-    return out
-
-
 def _emit_op(bld: _Builder, op_id: int, src: int, f_out: int, stride: int, target_hw: int) -> int:
     """One operator application plus, if needed, a trailing 1x1 projection."""
     h, _w, c_in = bld.nodes[src].shape
     # every operator but identity applies the stride; only convolutions set the channel count
-    out_hw = _halve(h) if stride == 2 and op_id != Operator.IDENTITY else h
+    out_hw = h if op_id == Operator.IDENTITY else h // stride
     c_out = f_out if op_id in _CONV_OPS else c_in
     node = bld.add(OPERATOR_NAMES[op_id], (src,), (out_hw, out_hw, c_out))
     if (out_hw, c_out) != (target_hw, f_out):
-        if out_hw not in (target_hw, 2 * target_hw):
-            raise BuildError(f"operator output {out_hw} incompatible with target {target_hw}")
         node = bld.add("conv1x1", (node,), (target_hw, target_hw, f_out))
     return node
 
 
 def _emit_cell(bld: _Builder, cell: CellSpec, prev_prev: int, prev: int, f_out: int, stride: int) -> int:
     h_in = bld.nodes[prev].shape[0]
-    target_hw = _halve(h_in) if stride == 2 else h_in
-    pp_hw = bld.nodes[prev_prev].shape[0]
-    if pp_hw != h_in:
-        if pp_hw != 2 * h_in:
-            raise BuildError(f"previous-previous input at {pp_hw} cannot feed a cell at {h_in}")
+    target_hw = h_in // stride
+    if bld.nodes[prev_prev].shape[0] != h_in:
         prev_prev = bld.add("conv1x1", (prev_prev,), (h_in, h_in, f_out))
     tensors = [prev_prev, prev]
     used: set[int] = set()
@@ -173,7 +167,7 @@ def build_network(cell: CellSpec, plan: StackPlan) -> NetworkGraph:
     bld = _Builder()
     current = bld.add("input", (), (plan.input_hw, plan.input_hw, INPUT_CHANNELS))
     if plan.stem == "conv3x3_stride2":
-        hw = _halve(plan.input_hw)
+        hw = plan.input_hw // 2
         current = bld.add("conv3x3", (current,), (hw, hw, plan.f))
     prev_prev = prev = current
     f = plan.f

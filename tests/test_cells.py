@@ -73,6 +73,8 @@ def test_count_space_level_one():
     size = count_space(1)
     assert (size.raw, size.unique) == (256, 136)
     assert len(one_block_cells()) == 136
+    with pytest.raises(ValueError, match="block position must be an int, got 2.0"):
+        count_space(2.0)
 
 
 @given(raw_cells())
@@ -130,6 +132,8 @@ def test_key_round_trip(cell):
 def test_key_format():
     cell = ((BlockSpec(0, 1, 4, 6)),)
     assert cell_key((cell[0],)) == "1|0,4,1,6"
+    with pytest.raises(ValueError, match="cell must have between 1 and 10 blocks, got 0"):
+        cell_key(())
 
 
 def test_reference_key_parses_canonical():

@@ -51,6 +51,13 @@ def test_count_exact_numbers(capsys):
     assert "m1 1160" in lines
 
 
+def test_main_restores_the_sigterm_handler_it_installs(capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    code, _, _ = run(capsys, "count", "-B", "1")
+    assert code == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 def test_count_rejects_bad_level(capsys):
     code, _, err = run(capsys, "count", "-B", "0")
     assert code == 1
@@ -88,7 +95,7 @@ def test_build_bad_plan_is_config_error(tmp_path, capsys):
         "--out", str(tmp_path / "g.json"),
     )
     assert code == 1
-    assert "spatial size underflow" in err
+    assert "cells need an input size divisible by 4 to halve it twice; input_hw 2 gives 2" in err
 
     code, out, err = run(capsys, "build", "--cell", "1|0,4,1,4", "-N", "0", "--out", str(tmp_path / "g.json"))
     assert code == 1

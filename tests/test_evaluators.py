@@ -279,6 +279,25 @@ def test_external_protocol_error_kills_a_live_worker(tmp_path):
         os.kill(int(pid_file.read_text()), 0)  # killed and reaped
 
 
+def test_external_skips_blank_lines():
+    worker = inline_worker(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    msg = json.loads(line)\n"
+        "    if msg.get('done'): break\n"
+        "    print('\\n   ', flush=True)\n"
+        "    print(json.dumps({'id': msg['id'], 'accuracy': 0.5}), flush=True)\n"
+    )
+    records = ExternalEvaluator(worker).evaluate(make_request())
+    assert [(r.cell_key, r.accuracy) for r in records] == [(cell_key(c), 0.5) for c in CELLS]
+
+
+def test_external_response_without_id_raises():
+    worker = inline_worker("import json; print(json.dumps({'accuracy': 0.5}))")
+    with pytest.raises(WorkerProtocolError, match="worker response lacks an id"):
+        ExternalEvaluator(worker).evaluate(make_request())
+
+
 def test_external_unknown_id_raises():
     worker = inline_worker("import json; print(json.dumps({'id': 999, 'accuracy': 0.5}))")
     with pytest.raises(WorkerProtocolError, match="unknown or duplicate id"):
@@ -336,10 +355,12 @@ def test_records_follow_request_order_with_a_repeated_cell(tmp_path, backend):
     assert [r.accuracy for r in records] == [r.accuracy for r in want]
 
 
-def test_external_persistent_crash_exhausts_retries():
-    ext = ExternalEvaluator(inline_worker("import sys; sys.exit(1)"))
-    with pytest.raises(WorkerTransportError, match=f"unanswered after {WORKER_RETRIES} retries"):
+def test_external_persistent_crash_exhausts_retries(tmp_path):
+    starts = tmp_path / "starts"
+    ext = ExternalEvaluator(inline_worker(f"import sys; open({str(starts)!r}, 'a').write('start\\n'); sys.exit(1)"))
+    with pytest.raises(WorkerTransportError, match=f"left 3 of 3 requests unanswered after {WORKER_RETRIES} retries"):
         ext.evaluate(make_request())
+    assert starts.read_text().splitlines() == ["start"] * (1 + WORKER_RETRIES)  # the first start, then one per retry
 
 
 def test_external_constructor_validation():

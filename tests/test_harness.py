@@ -3,10 +3,12 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
-from pnas.cells import cell_key
-from pnas.evaluators import SyntheticOracle, SyntheticOracleConfig
+import pnas.harness
+from pnas.cells import cell_key, count_space, random_cell
+from pnas.evaluators import EvalRecord, SyntheticOracle, SyntheticOracleConfig
 from pnas.harness import (
     TRAINED_KINDS,
     CorrelationReport,
@@ -36,6 +38,11 @@ def test_config_validation():
         HarnessConfig(sample_size=100, pool_size=50)
     with pytest.raises(ValueError, match="sample_size must be >= 2"):
         HarnessConfig(sample_size=1)
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        HarnessConfig(trials=0)
+    # a smaller sample would already exceed an empty pool, so both are zero
+    with pytest.raises(ValueError, match="pool_size must be >= 1, got 0"):
+        HarnessConfig(sample_size=0, pool_size=0)
     # pools are drawn at every level from 2 up, and level 2 holds 40,800 unique cells
     with pytest.raises(ValueError, match="pool_size must be <= 40800 \\(the unique two-block cells\\), got 40801"):
         HarnessConfig(pool_size=40801, b_max=2)
@@ -62,6 +69,52 @@ def test_distinct_random_cells():
     # 136 unique one-block cells exist, so 137 distinct draws must fail
     with pytest.raises(ValueError, match="could not draw 137 distinct"):
         distinct_random_cells(137, b=1, seed=0)
+
+
+def keyed_distinct_random_cells(count, b, seed):
+    """Reference: the same draws, each kept when its cell key is new."""
+    rng = np.random.default_rng(seed)
+    cells, seen = [], set()
+    while len(cells) < count:
+        cell = random_cell(b, rng)
+        key = cell_key(cell)
+        if key not in seen:
+            seen.add(key)
+            cells.append(cell)
+    return cells
+
+
+@pytest.mark.parametrize(("count", "b"), [(136, 1), (50, 1), (500, 2), (400, 5), (200, 10)])
+def test_distinct_random_cells_match_a_key_deduplicated_draw(count, b):
+    for seed in (0, 7, 12):
+        assert distinct_random_cells(count, b, seed) == keyed_distinct_random_cells(count, b, seed)
+
+
+def test_distinct_random_cells_draw_the_whole_two_block_space_as_the_keyed_loop_does(monkeypatch):
+    """Every draw also feeds the keyed loop, so the run makes its roughly 870,000 draws once."""
+    count = count_space(2).unique
+    assert count == 40800
+    keyed = {}
+
+    def drawn(b, rng):
+        assert len(keyed) < count, "drew after the last distinct cell"
+        cell = random_cell(b, rng)
+        keyed.setdefault(cell_key(cell), cell)
+        return cell
+
+    monkeypatch.setattr(pnas.harness, "random_cell", drawn)
+    assert distinct_random_cells(count, 2, 9) == list(keyed.values())
+
+
+class FailingOracle(SyntheticOracle):
+    def evaluate(self, request):
+        records = super().evaluate(request)
+        return [EvalRecord(records[0].cell_key, None, request.seed, "diverged"), *records[1:]]
+
+
+def test_harness_needs_every_pool_cell_measured(tiny):
+    with pytest.raises(ValueError, match="harness pools need every cell measured; .* failed"):
+        predictor_harness(tiny_config(), FailingOracle())
 
 
 def test_harness_report_shape(tiny):

@@ -122,6 +122,9 @@ def test_aggregate_curves_identical_trials():
     rows = aggregate_curves([curve, curve, curve], m_values=(1,))
     assert [r["top1_mean"] for r in rows] == pytest.approx([0.2, 0.4, 0.6])
     assert all(r["top1_stderr"] == pytest.approx(0.0, abs=1e-15) for r in rows)
+    # three models never fill a top-5 column, so no row gets one
+    rows = aggregate_curves([curve, curve, curve], m_values=(1, 5))
+    assert all(set(r) == {"models", "top1_mean", "top1_stderr"} for r in rows)
 
 
 def test_aggregate_curves_mean_and_stderr():

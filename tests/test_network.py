@@ -73,8 +73,8 @@ def test_params_monotone_in_width():
 
 
 def test_spatial_underflow():
-    with pytest.raises(BuildError, match="spatial size underflow"):
-        build_network(IDENTITY_CELL, StackPlan(input_hw=2))
+    with pytest.raises(ValueError, match="cells need an input size divisible by 4 to halve it twice; input_hw 2 gives 2"):
+        StackPlan(input_hw=2)
 
 
 def test_stem_needs_large_input():
@@ -95,6 +95,10 @@ def test_plan_validation():
         StackPlan(num_classes=1)
     with pytest.raises(ValueError, match="stem must be one of"):
         StackPlan(stem="resnet")
+    # 0 and negative sizes pass the divisible-by-4 rule, so they need a check of their own
+    for hw in (0, -4):
+        with pytest.raises(ValueError, match=f"input size must be >= 1, got {hw}"):
+            StackPlan(input_hw=hw)
 
 
 def test_build_requires_canonical():
@@ -141,3 +145,29 @@ def test_built_cost_is_the_sum_over_the_nodes(plan):
                 assert type(node.shape) is tuple and len(node.shape) == 3
                 assert all(type(size) is int for size in node.shape)
             assert graph.cost == reference_cost(graph)
+
+
+@pytest.mark.parametrize("stem", ["none", "conv3x3_stride2"])
+def test_every_accepted_plan_builds(stem):
+    """Cells' input sizes 4-256 in steps of 4 build with every stage size exact, and no other size is accepted."""
+    rng = np.random.default_rng(33)
+    b = 0
+    # the stem's own rule asks for input_hw >= 64
+    for input_hw in range(1, 257) if stem == "none" else range(64, 2 * 256 + 2):
+        hw = input_hw // 2 if stem == "conv3x3_stride2" else input_hw
+        if hw % 4:
+            with pytest.raises(ValueError, match=f"divisible by 4 to halve it twice; input_hw {input_hw} gives {hw}"):
+                StackPlan(input_hw=input_hw, stem=stem)
+            continue
+        for n in (1, 2, 3):
+            b = b % 10 + 1
+            graph = build_network(random_cell(b, rng), StackPlan(n=n, f=4, input_hw=input_hw, stem=stem))
+            targets = [graph.nodes[i].shape[0] for i in graph.cell_outputs]
+            assert targets == [hw] * n + [hw // 2] * (n + 1) + [hw // 4] * (n + 1)
+            first = 0
+            for out, target in zip(graph.cell_outputs, targets):
+                for node in graph.nodes[first : out + 1]:
+                    if node.op == "conv1x1":
+                        assert node.shape[:2] == (target, target)
+                        assert graph.nodes[node.inputs[0]].shape[0] in (target, 2 * target)
+                first = out + 1

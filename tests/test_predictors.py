@@ -102,6 +102,10 @@ def test_slot_counts_reject_ids_outside_the_vocabulary():
         MLPPredictor.encode(np.asarray([[[0, 0, 8, 0]]]))
     with pytest.raises(ValueError, match="at least one cell"):
         MLPPredictor.encode([])
+    with pytest.raises(ValueError, match=r"a cell array must have shape \(n, b, 4\), got \(2, 4\)"):
+        MLPPredictor.encode(np.zeros((2, 4), dtype=np.intp))
+    with pytest.raises(ValueError, match="a cell needs at least one block"):
+        MLPPredictor.encode([()])
 
 
 @given(raw_cells(max_blocks=10))
@@ -374,6 +378,9 @@ def test_fork_map_stripes_jobs_over_workers_and_never_nests(monkeypatch):
     assert pids == [pids[j % 3] for j in range(7)]  # worker w takes jobs w, w + 3, ...
     assert all(nested == [pid, pid] for _, pid, nested in results)  # run in-process inside a worker
     assert not multiprocessing.active_children()
+    # without the fork start method the jobs run in this process
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert fork_map(lambda j: (j, os.getpid()), range(3)) == [(j, os.getpid()) for j in range(3)]
 
 
 def test_fork_map_notices_a_dead_worker_at_once(monkeypatch):
@@ -795,12 +802,24 @@ def test_ensemble_fit_and_predict(small):
     assert np.array_equal(ens.predict(cells), want)
 
 
-def test_ensemble_fit_tiny_dataset(small):
+def test_ensemble_fit_tiny_dataset(monkeypatch, small):
     cells, accs = train_batch(n=3)
     ens = ensemble_fit(cells, accs, "mlp", 0, level=1)
     probs = ens.predict(cells)
     assert probs.shape == (3,)
     assert np.all((probs > 0) & (probs < 1))
+    # on one cell, the member whose holdout is that cell trains on it as every other member does
+    trained_on = []
+    fit = Predictor.fit
+
+    def logged(self, cells, accuracies, level):
+        trained_on.append(list(cells))
+        return fit(self, cells, accuracies, level)
+
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(Predictor, "fit", logged)
+    ensemble_fit(cells[:1], accs[:1], "mlp", 0, level=1)
+    assert trained_on == [cells[:1]] * ENSEMBLE_SIZE
 
 
 def test_ensemble_of_clones_equals_single(small):

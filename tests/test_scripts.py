@@ -170,7 +170,7 @@ def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
     same = compare("parent", "parent")
     assert same.returncode == 0, same.stdout + same.stderr
     commands = same.stdout.splitlines()
-    assert len(commands) == 15 and all(row.startswith("identical pnas ") for row in commands)
+    assert len(commands) == 16 and all(row.startswith("identical pnas ") for row in commands)
     assert "identical pnas search -B 5 -K 64 --predictor mlp-ens --sigma 0.01 --seed 3" in commands
     assert any(row.endswith("--worker-cmd 'python3 scripts/echo_worker.py --sigma 0.01' --seed 0") for row in commands)
 
@@ -184,4 +184,4 @@ def test_compare_checkouts_flags_other_traces_and_failed_commands(tmp_path):
     ]
     assert rows[differs[0] + 1 : differs[0] + 3] == ["  differs trace.jsonl", "    stub: 1 of 1 events differ"]
     assert rows[differs[1] + 1] == "  change exited 2: stub error"
-    assert sum(row.startswith("identical pnas ") for row in rows) == 13
+    assert sum(row.startswith("identical pnas ") for row in rows) == 14

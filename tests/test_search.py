@@ -15,6 +15,7 @@ from pnas.predictors import PREDICTORS
 from pnas.search import (
     CHUNK_SIZE,
     PREDICTOR_KINDS,
+    LevelResult,
     ModelSurrogate,
     NoSuccessfulEvaluationError,
     SearchConfig,
@@ -371,6 +372,9 @@ def test_search_failed_record_keeps_slot():
     assert [rec.cell_key for rec in failures] == [doomed]
     assert trace.levels[0].measured.count(None) == 1
     assert trace.best()[0] != doomed
+    lost = LevelResult(level=1, records=(EvalRecord(doomed, None, 0, "diverged"),), predicted=None)
+    with pytest.raises(ValueError, match="level 1 has no successful evaluations"):
+        lost.best()
 
 
 def test_search_level_without_successes_stops_after_its_evals():
